@@ -9,7 +9,8 @@
 //! co-channel uplinks *served by other APs* still arrive at this AP's
 //! antenna and leak through its TMA sidelobes. [`sinr_at_ap`] accounts
 //! for all four with global channel indices, so cross-AP interference
-//! falls out of the same arithmetic as intra-AP interference.
+//! falls out of the same arithmetic as intra-AP interference. The
+//! simulator runs the same sum over per-AP gain tables.
 
 use crate::sdm::SdmSlot;
 use mmx_antenna::tma::HarmonicGain;
@@ -27,58 +28,6 @@ pub fn adjacent_channel_leakage(channel_distance: usize) -> Db {
     })
 }
 
-/// One transmitting node as seen by the interference engine.
-#[derive(Debug, Clone, Copy)]
-pub struct Uplink {
-    /// Receive power at the AP antenna *before* TMA processing (channel
-    /// gain applied, AP element gain included).
-    pub rx_power: DbmPower,
-    /// Angle of arrival at the AP.
-    pub aoa: Degrees,
-    /// The node's SDM slot.
-    pub slot: SdmSlot,
-}
-
-/// Computes the SINR of every uplink.
-///
-/// For node `i`, the wanted power is its `rx_power` plus the TMA gain of
-/// its own harmonic toward its own direction; every other node `j`
-/// contributes `rx_power_j` scaled by the TMA gain of *i's* harmonic
-/// toward *j's* direction and the adjacent-channel isolation between
-/// their channels.
-///
-/// Accepts anything implementing [`HarmonicGain`]: the analytic
-/// [`mmx_antenna::tma::Tma`] for exact gains, or a
-/// [`mmx_antenna::tma::TmaGainLut`] for O(1) lookups in hot loops.
-pub fn sinr_all(
-    tma: &impl HarmonicGain,
-    uplinks: &[Uplink],
-    bandwidth: Hertz,
-    noise_figure: Db,
-) -> Vec<Db> {
-    let noise = thermal_noise_dbm(bandwidth, noise_figure);
-    uplinks
-        .iter()
-        .map(|me| {
-            // The TMA patterns are normalized to a single always-on
-            // element; normalize per-link so the wanted harmonic gain at
-            // the matched direction reads as ~0 dB and leakage as
-            // negative.
-            let wanted = me.rx_power + tma.harmonic_gain(me.slot.harmonic, me.aoa);
-            let mut terms = vec![noise + tma.harmonic_gain(me.slot.harmonic, me.aoa).min(Db::ZERO)];
-            for other in uplinks {
-                if std::ptr::eq(me, other) {
-                    continue;
-                }
-                let tma_gain = tma.harmonic_gain(me.slot.harmonic, other.aoa);
-                let acl = adjacent_channel_leakage(me.slot.channel.abs_diff(other.slot.channel));
-                terms.push(other.rx_power + tma_gain + acl);
-            }
-            wanted - DbmPower::power_sum(terms)
-        })
-        .collect()
-}
-
 /// SINR of node `me` at one AP of a multi-AP deployment.
 ///
 /// Every node in the deployment — not just this AP's members —
@@ -92,10 +41,10 @@ pub fn sinr_all(
 /// bad reuse plan shows up as collapsed SINR instead of being silently
 /// ignored.
 ///
-/// The accessor-closure shape mirrors the single-AP engine's
-/// `sinr_from`: the hot path substitutes a freshly traced power for the
-/// transmitting node while reading everyone else from the frozen batch
-/// snapshot, without building a per-packet `Vec`.
+/// The accessor-closure shape lets a caller substitute a freshly traced
+/// power for the transmitting node while reading everyone else from a
+/// frozen snapshot, without building a per-packet `Vec`. The simulator
+/// runs the same sum over precomputed gain tables.
 #[allow(clippy::too_many_arguments)]
 pub fn sinr_at_ap(
     tma: &impl HarmonicGain,
@@ -107,12 +56,34 @@ pub fn sinr_at_ap(
     rx_of: impl Fn(usize) -> DbmPower,
     aoa_of: impl Fn(usize) -> Degrees,
 ) -> Db {
-    let noise = thermal_noise_dbm(bandwidth, noise_figure);
-    let wanted = rx_of(me) + tma.harmonic_gain(slots[me].harmonic, aoa_of(me));
-    let interference = (0..nodes).filter(|&j| j != me).map(|j| {
-        let gain = tma.harmonic_gain(slots[me].harmonic, aoa_of(j));
-        let acl = adjacent_channel_leakage(slots[me].channel.abs_diff(slots[j].channel));
-        rx_of(j) + gain + acl
+    let harmonic = slots[me].harmonic;
+    sinr_sum(
+        thermal_noise_dbm(bandwidth, noise_figure),
+        me,
+        &slots[..nodes],
+        rx_of,
+        |j| tma.harmonic_gain(harmonic, aoa_of(j)),
+    )
+}
+
+/// The SINR sum every simulator path shares: node `me`'s arrival
+/// `rx_of(me)` through gain `gain_of(me)`, over `noise` plus every other
+/// node `j`'s arrival through `gain_of(j)` (the listening harmonic's gain
+/// toward `j`) and the adjacent-channel isolation between `me`'s channel
+/// and `j`'s. Terms are summed in node order, so the result is
+/// bit-reproducible. A silent node (`DbmPower::ZERO_POWER`) adds nothing.
+pub(crate) fn sinr_sum(
+    noise: DbmPower,
+    me: usize,
+    slots: &[SdmSlot],
+    rx_of: impl Fn(usize) -> DbmPower,
+    gain_of: impl Fn(usize) -> Db,
+) -> Db {
+    let channel = slots[me].channel;
+    let wanted = rx_of(me) + gain_of(me);
+    let interference = (0..slots.len()).filter(|&j| j != me).map(|j| {
+        let acl = adjacent_channel_leakage(channel.abs_diff(slots[j].channel));
+        rx_of(j) + gain_of(j) + acl
     });
     wanted - DbmPower::power_sum(std::iter::once(noise).chain(interference))
 }
@@ -138,16 +109,35 @@ mod tests {
         SdmSlot { channel, harmonic }
     }
 
+    /// SINR of every node in a one-AP cell: node `j` arrives with
+    /// `rx[j]` from `aoa[j]` on `slots[j]`.
+    fn sinr_each(
+        tma: &impl HarmonicGain,
+        rx: &[f64],
+        aoa: &[Degrees],
+        slots: &[SdmSlot],
+    ) -> Vec<Db> {
+        (0..rx.len())
+            .map(|me| {
+                sinr_at_ap(
+                    tma,
+                    nf(),
+                    bw(),
+                    me,
+                    rx.len(),
+                    slots,
+                    |j| DbmPower::new(rx[j]),
+                    |j| aoa[j],
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn lone_node_sinr_is_snr() {
         let t = tma();
         let aoa = t.harmonic_direction(0).unwrap();
-        let up = [Uplink {
-            rx_power: DbmPower::new(-60.0),
-            aoa,
-            slot: slot(0, 0),
-        }];
-        let sinr = sinr_all(&t, &up, bw(), nf())[0];
+        let sinr = sinr_each(&t, &[-60.0], &[aoa], &[slot(0, 0)])[0];
         // Noise floor ≈ −97.4 dBm; wanted −60 + harmonic gain.
         let expect = DbmPower::new(-60.0) + t.harmonic_gain(0, aoa) - thermal_noise_dbm(bw(), nf());
         assert!((sinr - expect).value().abs() < 0.1, "sinr {sinr}");
@@ -156,21 +146,11 @@ mod tests {
     #[test]
     fn spatially_separated_cochannel_nodes_barely_interfere() {
         let t = tma();
-        let d0 = t.harmonic_direction(0).unwrap();
-        let d2 = t.harmonic_direction(2).unwrap();
-        let ups = [
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: d0,
-                slot: slot(0, 0),
-            },
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: d2,
-                slot: slot(0, 2),
-            },
+        let aoa = [
+            t.harmonic_direction(0).unwrap(),
+            t.harmonic_direction(2).unwrap(),
         ];
-        let sinr = sinr_all(&t, &ups, bw(), nf());
+        let sinr = sinr_each(&t, &[-60.0, -60.0], &aoa, &[slot(0, 0), slot(0, 2)]);
         // Both nodes keep >20 dB despite sharing the channel.
         for (i, s) in sinr.iter().enumerate() {
             assert!(s.value() > 20.0, "node {i} sinr = {s}");
@@ -181,19 +161,7 @@ mod tests {
     fn cochannel_same_direction_collides() {
         let t = tma();
         let d0 = t.harmonic_direction(0).unwrap();
-        let ups = [
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: d0,
-                slot: slot(0, 0),
-            },
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: d0,
-                slot: slot(0, 0),
-            },
-        ];
-        let sinr = sinr_all(&t, &ups, bw(), nf());
+        let sinr = sinr_each(&t, &[-60.0, -60.0], &[d0, d0], &[slot(0, 0), slot(0, 0)]);
         // Equal-power co-channel, co-beam: SINR pinned near 0 dB.
         for s in &sinr {
             assert!(s.value() < 3.0, "sinr = {s}");
@@ -204,23 +172,11 @@ mod tests {
     fn adjacent_channel_isolation_restores_link() {
         let t = tma();
         let d0 = t.harmonic_direction(0).unwrap();
-        let mk = |ch: usize| {
-            [
-                Uplink {
-                    rx_power: DbmPower::new(-60.0),
-                    aoa: d0,
-                    slot: slot(0, 0),
-                },
-                Uplink {
-                    rx_power: DbmPower::new(-60.0),
-                    aoa: d0,
-                    slot: slot(ch, 0),
-                },
-            ]
-        };
-        let same = sinr_all(&t, &mk(0), bw(), nf())[0];
-        let adjacent = sinr_all(&t, &mk(1), bw(), nf())[0];
-        let far = sinr_all(&t, &mk(3), bw(), nf())[0];
+        let node0 =
+            |ch: usize| sinr_each(&t, &[-60.0, -60.0], &[d0, d0], &[slot(0, 0), slot(ch, 0)])[0];
+        let same = node0(0);
+        let adjacent = node0(1);
+        let far = node0(3);
         assert!((adjacent - same).value() > 25.0);
         assert!(far > adjacent);
     }
@@ -229,20 +185,14 @@ mod tests {
     fn lut_sinr_tracks_exact_sinr() {
         let t = tma();
         let lut = t.gain_lut(0.25);
-        let ups = [
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: t.harmonic_direction(0).unwrap() + Degrees::new(1.3),
-                slot: slot(0, 0),
-            },
-            Uplink {
-                rx_power: DbmPower::new(-58.0),
-                aoa: t.harmonic_direction(2).unwrap() + Degrees::new(-0.7),
-                slot: slot(1, 2),
-            },
+        let aoa = [
+            t.harmonic_direction(0).unwrap() + Degrees::new(1.3),
+            t.harmonic_direction(2).unwrap() + Degrees::new(-0.7),
         ];
-        let exact = sinr_all(&t, &ups, bw(), nf());
-        let fast = sinr_all(&lut, &ups, bw(), nf());
+        let rx = [-60.0, -58.0];
+        let slots = [slot(0, 0), slot(1, 2)];
+        let exact = sinr_each(&t, &rx, &aoa, &slots);
+        let fast = sinr_each(&lut, &rx, &aoa, &slots);
         for (e, f) in exact.iter().zip(&fast) {
             assert!((e.value() - f.value()).abs() < 1.0, "{e} vs {f}");
         }
@@ -264,8 +214,7 @@ mod tests {
         // Two nodes on the same global channel, "served" by different
         // APs: from this AP's perspective the foreign node is just an
         // interference term. Same direction → collision; a distant
-        // harmonic direction → barely any loss. Exactly `sinr_all`'s
-        // physics, but through the multi-AP accessor entry point.
+        // harmonic direction → barely any loss.
         let t = tma();
         let d0 = t.harmonic_direction(0).unwrap();
         let d3 = t.harmonic_direction(3).unwrap();
@@ -287,40 +236,32 @@ mod tests {
     }
 
     #[test]
-    fn sinr_at_ap_matches_single_ap_engine_shape() {
-        // With every node served by one AP, sinr_at_ap degenerates to
-        // the single-AP formula (sinr_all modulo its noise-gain tweak).
+    fn sinr_at_ap_is_the_table_driven_sum() {
+        // The public entry point and the simulator's table-driven sum
+        // agree bit for bit, and a silent node (zero power) adds nothing.
         let t = tma();
-        let ups = [
-            Uplink {
-                rx_power: DbmPower::new(-60.0),
-                aoa: t.harmonic_direction(0).unwrap(),
-                slot: slot(0, 0),
-            },
-            Uplink {
-                rx_power: DbmPower::new(-58.0),
-                aoa: t.harmonic_direction(2).unwrap() + Degrees::new(2.0),
-                slot: slot(1, 2),
-            },
+        let aoa = [
+            t.harmonic_direction(0).unwrap(),
+            t.harmonic_direction(2).unwrap() + Degrees::new(2.0),
+            t.harmonic_direction(-1).unwrap(),
         ];
-        let slots: Vec<SdmSlot> = ups.iter().map(|u| u.slot).collect();
-        let all = sinr_all(&t, &ups, bw(), nf());
-        for (i, all_i) in all.iter().enumerate() {
-            let one = sinr_at_ap(
-                &t,
-                nf(),
-                bw(),
-                i,
-                ups.len(),
-                &slots,
-                |j| ups[j].rx_power,
-                |j| ups[j].aoa,
-            );
-            assert!(
-                (one.value() - all_i.value()).abs() < 1.5,
-                "node {i}: {one} vs {all_i}"
-            );
+        let slots = [slot(0, 0), slot(1, 2), slot(0, -1)];
+        let rx = [
+            DbmPower::new(-60.0),
+            DbmPower::new(-58.0),
+            DbmPower::ZERO_POWER,
+        ];
+        let noise = thermal_noise_dbm(bw(), nf());
+        for me in 0..3 {
+            let h = slots[me].harmonic;
+            let direct = sinr_at_ap(&t, nf(), bw(), me, 3, &slots, |j| rx[j], |j| aoa[j]);
+            let row: Vec<Db> = aoa.iter().map(|&az| t.harmonic_gain(h, az)).collect();
+            let tabled = sinr_sum(noise, me, &slots, |j| rx[j], |j| row[j]);
+            assert_eq!(direct.value().to_bits(), tabled.value().to_bits());
         }
+        let two = sinr_at_ap(&t, nf(), bw(), 0, 2, &slots, |j| rx[j], |j| aoa[j]);
+        let three = sinr_at_ap(&t, nf(), bw(), 0, 3, &slots, |j| rx[j], |j| aoa[j]);
+        assert_eq!(two.value().to_bits(), three.value().to_bits());
     }
 
     #[test]
@@ -330,22 +271,7 @@ mod tests {
         // Slightly off-grid so the leakage into harmonic 0 is finite
         // (exactly on-grid directions sit in the DFT beam's null).
         let d1 = t.harmonic_direction(1).unwrap() + Degrees::new(3.0);
-        let mk = |p: f64| {
-            [
-                Uplink {
-                    rx_power: DbmPower::new(-60.0),
-                    aoa: d0,
-                    slot: slot(0, 0),
-                },
-                Uplink {
-                    rx_power: DbmPower::new(p),
-                    aoa: d1,
-                    slot: slot(0, 1),
-                },
-            ]
-        };
-        let weak = sinr_all(&t, &mk(-70.0), bw(), nf())[0];
-        let strong = sinr_all(&t, &mk(-40.0), bw(), nf())[0];
-        assert!(weak > strong);
+        let node0 = |p: f64| sinr_each(&t, &[-60.0, p], &[d0, d1], &[slot(0, 0), slot(0, 1)])[0];
+        assert!(node0(-70.0) > node0(-40.0));
     }
 }

@@ -18,7 +18,7 @@
 //!   leakage, thermal noise.
 //! * [`node`] / [`ap`] — the station models.
 //! * [`sim`] — the network simulator producing per-node SNR/PER/goodput
-//!   (Fig. 13's engine).
+//!   (Fig. 13), one front end of the shared gather→commit engine.
 //! * [`energy`] — network-wide energy accounting.
 //! * [`arq`] — stop-and-wait link-layer reliability with the ACK on the
 //!   out-of-band control plane (extension; keeps the node TX-only).
@@ -33,12 +33,13 @@
 //!   (DESIGN.md §9).
 //! * [`multi_ap`] — cross-AP coordination: coverage-aware channel
 //!   reuse planning, the epoch-stamped slot arbiter, roaming handoff
-//!   and the multi-cell simulator (DESIGN.md §10).
+//!   and the multi-cell front end of the same engine (DESIGN.md §10).
 
 pub mod ap;
 pub mod arq;
 pub mod control;
 pub mod energy;
+mod engine;
 pub mod event;
 pub mod faults;
 pub mod fdm;

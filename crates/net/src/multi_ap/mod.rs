@@ -8,7 +8,7 @@
 //!   non-overlapping APs reuse channels.
 //! * [`proto`] — the epoch-stamped inter-AP admission protocol
 //!   ([`ApMsg`]) and the deterministic [`SlotArbiter`].
-//! * [`sim`] — the [`MultiApSim`] engine: N AP stacks, per-packet
+//! * [`sim`] — the [`MultiApSim`] front end: N AP stacks, per-packet
 //!   roaming hysteresis, make-before-break grant transfer over a lossy
 //!   backhaul, all under the §9 gather→commit determinism discipline.
 

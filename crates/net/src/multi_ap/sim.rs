@@ -8,65 +8,49 @@
 //!   [`HarmonicReusePlan`] — co-channel reuse only between APs whose
 //!   coverage cones do not overlap.
 //! * **Per-AP stack**: every AP runs its own [`SdmScheduler`] over its
-//!   TMA and its own [`Admission`] bookkeeping; the inter-AP
-//!   [`SlotArbiter`] owns the (node → AP, epoch) map.
+//!   TMA and its own [`Admission`](crate::control::Admission)
+//!   bookkeeping; the inter-AP
+//!   [`SlotArbiter`](crate::multi_ap::SlotArbiter) owns the
+//!   (node → AP, epoch) map.
 //! * **Roaming**: per-packet SINR-margin hysteresis arms a
 //!   make-before-break handoff
 //!   ([`crate::link::NodeLink::begin_handoff`]); the `Transfer` and the
 //!   returning grant both cross a lossy inter-AP/control link through
-//!   the same [`FaultInjector`] machinery as the single-AP control
-//!   plane, with retransmit backoff and monotonic epochs discarding
-//!   stale grants.
-//! * **Determinism**: the §9 gather→commit event loop — packet gathers
-//!   (A ray traces each) fan out across worker threads against a frozen
-//!   batch snapshot; all protocol and bookkeeping mutations happen in
-//!   the single-threaded commit phase in drained event order. Reports,
-//!   traces and recovery counters are byte-identical at any
-//!   [`MultiApConfig::threads`].
+//!   the same [`FaultInjector`](crate::faults::FaultInjector) machinery
+//!   as the single-AP control plane, with retransmit backoff and
+//!   monotonic epochs discarding stale grants.
+//! * **Determinism**: [`MultiApSim`] is a front end of the same
+//!   gather→commit engine as [`crate::sim::NetworkSim`] (DESIGN.md §9) —
+//!   packet gathers (A ray traces each) fan out across worker threads
+//!   against a frozen batch snapshot; all protocol and bookkeeping
+//!   mutations happen in the single-threaded commit phase in drained
+//!   event order. Reports, traces and recovery counters are
+//!   byte-identical at any [`MultiApConfig::threads`].
 //!
-//! Deliberate simplifications versus the single-AP engine: no power
-//! control, rate adaptation, churn/crash injection or energy metering
-//! (those live in [`crate::sim`]); nodes are always active; fading is
-//! stepped on the serving-AP channel only (neighbor arrivals stay
-//! specular). Candidate-AP SINR uses the node's *current* channel as a
-//! proxy for the slot it would get after the transfer — the real slot
-//! is assigned by the target AP when the arbiter applies the move.
+//! The multi-AP front end sets the engine up differently from the
+//! single-AP one in a few places: no uplink power control, no rate
+//! adaptation and no churn (crash/rejoin injection or the lossy join
+//! handshake — every admitted node is granted at t = 0, and the injector
+//! only decides backhaul message fates); fading is stepped on the
+//! serving-AP channel only (neighbor arrivals stay specular). Candidate-AP
+//! SINR uses the node's *current* channel as a proxy for the slot it
+//! would get after the transfer — the real slot is assigned by the target
+//! AP when the arbiter applies the move.
 
 use crate::ap::{ApId, ApStation};
-use crate::control::{Admission, NodeId, CONTROL_RTT};
-use crate::event::EventQueue;
-use crate::faults::{FaultConfig, FaultInjector};
+use crate::control::NodeId;
+use crate::engine::{arrival_angle, Control, Plan, Scene, World};
+use crate::faults::FaultConfig;
 use crate::fdm::{AllocError, BandPlan, ChannelAssignment};
-use crate::interference::{adjacent_channel_leakage, sinr_at_ap};
-use crate::link::{Backoff, LinkAction, LinkState, NodeLink};
 use crate::multi_ap::plan::{ApCoverage, HarmonicReusePlan, ReusePlanError};
-use crate::multi_ap::proto::{ApMsg, ArbiterVerdict, SlotArbiter};
 use crate::node::NodeStation;
-use crate::pool;
 use crate::sdm::{SdmError, SdmScheduler, SdmSlot};
-use crate::sim::{state_name, FadingConfig};
-use crate::streams;
-use mmx_channel::blockage::HumanBlocker;
-use mmx_channel::fading::{FadingProcess, Rician};
-use mmx_channel::mobility::{LinearWalker, RandomWaypoint};
-use mmx_channel::response::beam_channel_into;
+use crate::sim::{wide_admission_plan, FadingConfig};
 use mmx_channel::room::Room;
-use mmx_channel::trace::{PropPath, Tracer};
 use mmx_channel::Vec2;
 use mmx_obs::Recorder;
-use mmx_phy::ber::joint_ber;
-use mmx_units::{thermal_noise_dbm, Band, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mmx_units::{Db, Degrees, Hertz, Seconds};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Upper bound on one gather batch (mirrors `crate::sim::MAX_BATCH`).
-const MAX_BATCH: usize = 4096;
-
-/// One-way latency of a control/backhaul hop (half the end-to-end
-/// control RTT the single-AP plane budgets).
-const HOP: f64 = 0.5;
 
 /// A scripted straight-line blocker walking `from` → `to` and back at
 /// `speed_mps` — the §9.2 pacing person, with the route under test
@@ -321,113 +305,8 @@ impl MultiApReport {
     }
 }
 
-/// Events of the multi-AP engine. `Packet`s batch; everything else ends
-/// a batch, exactly like the single-AP faulted engine, so protocol
-/// mutations never race a gather snapshot.
-#[derive(Debug, Clone, Copy)]
-enum MEvent {
-    /// Mobility step: walkers and the pacer move, blockers rebuild.
-    Step,
-    /// Node `i` transmits one packet.
-    Packet(usize),
-    /// An inter-AP message reaches the coordinator.
-    Arbit(ApMsg),
-    /// A (transfer) grant reaches node `node`.
-    TransferGrant {
-        node: usize,
-        to: ApId,
-        epoch: u64,
-        slot: SdmSlot,
-    },
-    /// A transfer retransmit timer fires.
-    RetryTransfer { node: usize, attempt: u32 },
-}
-
-/// Per-node gather context (mirrors the single-AP engine's `NodeCtx`).
-struct MCtx {
-    rng: StdRng,
-    fader: Option<FadingProcess>,
-    paths: Vec<PropPath>,
-}
-
-/// Frozen per-batch snapshot the gather tasks read.
-struct MShared {
-    blockers: Arc<Vec<HumanBlocker>>,
-    /// rx[a][j]: arrival power of node j at AP a.
-    rx: Vec<Vec<DbmPower>>,
-    slots: Vec<SdmSlot>,
-    serving: Vec<ApId>,
-}
-
-struct MTask {
-    i: usize,
-    ctx: MCtx,
-    shared: Arc<MShared>,
-}
-
-/// The pure result of one gather task.
-struct MGather {
-    i: usize,
-    ctx: MCtx,
-    /// Fresh arrival power at every AP (fading applied on the serving
-    /// one).
-    pwr_at: Vec<DbmPower>,
-    sinr: Db,
-    per: f64,
-    draw: f64,
-    /// Candidate SINR at each in-cone non-serving AP: (ap index, dB).
-    alt: Vec<(u16, f64)>,
-}
-
-/// SINR of node `i` received at one AP through harmonic `h`, using that
-/// AP's precomputed gain table (`gains_a[m + half][j]`) and the node's
-/// current channel grid positions.
-#[allow(clippy::too_many_arguments)]
-fn sinr_with_tables(
-    gains_a: &[Vec<Db>],
-    half_a: i32,
-    noise: DbmPower,
-    i: usize,
-    n: usize,
-    h: i32,
-    slots: &[SdmSlot],
-    active: &[bool],
-    rx_of: impl Fn(usize) -> DbmPower,
-) -> Db {
-    let row = &gains_a[(h + half_a) as usize];
-    let wanted = rx_of(i) + row[i];
-    let interference = (0..n).filter(|&j| j != i && active[j]).map(|j| {
-        let acl = adjacent_channel_leakage(slots[i].channel.abs_diff(slots[j].channel));
-        rx_of(j) + row[j] + acl
-    });
-    wanted - DbmPower::power_sum(std::iter::once(noise).chain(interference))
-}
-
-/// Offers one inter-AP event to the (possibly lossy) backhaul: decides
-/// its fate, schedules delivery after the one-way hop latency, and
-/// schedules the duplicate copy slightly later when the injector says
-/// so — the same send discipline as the single-AP control fabric.
-fn offer_backhaul(
-    q: &mut EventQueue<MEvent>,
-    inj: &mut FaultInjector,
-    now: Seconds,
-    ev: MEvent,
-) -> bool {
-    let fate = inj.control_fate();
-    if fate.lost {
-        return false;
-    }
-    let at = now + CONTROL_RTT * HOP + fate.extra_delay;
-    q.schedule_at(at, ev)
-        .expect("backhaul delivery is ahead of now");
-    if fate.duplicated {
-        q.schedule_at(at + CONTROL_RTT * 0.1, ev)
-            .expect("duplicate lands after the original");
-    }
-    true
-}
-
-/// The multi-AP network simulator.
+/// The multi-AP network simulator: the multi-cell front end of the
+/// simulation engine.
 pub struct MultiApSim {
     room: Room,
     aps: Vec<ApStation>,
@@ -481,181 +360,16 @@ impl MultiApSim {
         &mut self.cfg
     }
 
-    /// The coverage cone of AP `a` under this configuration.
-    fn coverage(&self, a: usize) -> ApCoverage {
-        ApCoverage::new(
-            self.aps[a].pose,
-            self.cfg.coverage_half_angle,
-            self.cfg.coverage_range_m,
-        )
-    }
-
-    /// Angle of arrival of node `i`'s LoS at AP `a`, relative to that
-    /// AP's facing.
-    fn aoa_at(&self, a: usize, i: usize) -> Degrees {
-        ((self.nodes[i].pose.position - self.aps[a].pose.position).bearing()
-            - self.aps[a].pose.facing)
-            .wrapped()
-    }
-
-    /// Specular arrival power of node `i` at AP `a` under the current
-    /// blockers, with caller-owned ray-trace scratch.
-    fn rx_power_into(
-        &self,
-        a: usize,
-        i: usize,
-        blockers: &[HumanBlocker],
-        paths: &mut Vec<PropPath>,
-    ) -> (DbmPower, mmx_channel::response::BeamChannel) {
-        let tracer = Tracer::new(
-            &self.room,
-            self.nodes[i].front_end().channel(),
-            self.cfg.path_loss_exponent,
-        );
-        let ch = beam_channel_into(
-            &tracer,
-            self.nodes[i].pose,
-            self.aps[a].pose,
-            self.nodes[i].beams(),
-            self.aps[a].element(),
-            blockers,
-            paths,
-        );
-        let mark = ch.gain(ch.stronger_beam());
-        let p = self.nodes[i].front_end().antenna_power() - self.cfg.implementation_loss + mark;
-        (p, ch)
-    }
-
-    /// The virtual band the per-AP admission bookkeeping runs over
-    /// (mirrors the single-AP engine's SDM admission plan: wide enough
-    /// for every demand, since the TMA schedule — not spectral packing
-    /// — is the binding constraint).
-    fn admission_plan(&self) -> BandPlan {
-        let width: f64 = self
-            .nodes
-            .iter()
-            .map(|n| self.cfg.plan.width_for(n.demand).hz() + 2e6)
-            .sum();
-        let center = self.cfg.plan.band().low + self.cfg.plan.band().bandwidth() / 2.0;
-        BandPlan::new(
-            Band::centered(center, Hertz::new(width * 2.0)),
-            Hertz::from_mhz(1.0),
-        )
-    }
-
-    /// The gather phase for one packet: A ray traces, a fading step on
-    /// the serving channel, serving SINR against the batch snapshot,
-    /// candidate SINR at every in-cone neighbor, BER → PER and the
-    /// delivery draw. Pure per-node work over frozen data.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_packet(
-        &self,
-        mut task: MTask,
-        gains: &[Vec<Vec<Db>>],
-        halves: &[i32],
-        noise_at: &[DbmPower],
-        cand_harmonic: &[Vec<i32>],
-        in_cone: &[Vec<bool>],
-        proc_gain: &[Db],
-        air_bits: &[usize],
-        active: &[bool],
-    ) -> MGather {
-        let i = task.i;
-        let n = self.nodes.len();
-        let a_serving = task.shared.serving[i].index();
-        let mut pwr_at = Vec::with_capacity(self.aps.len());
-        let mut sep = Db::ZERO;
-        for a in 0..self.aps.len() {
-            let (p, ch) = self.rx_power_into(a, i, &task.shared.blockers, &mut task.ctx.paths);
-            if a == a_serving {
-                // Fading perturbs the serving link only; exactly one
-                // step per packet keeps the node-stream draw count
-                // independent of the serving AP.
-                let (p, ch) = match task.ctx.fader.as_mut() {
-                    Some(f) => {
-                        let faded = f.step(&ch, &mut task.ctx.rng);
-                        let mark = faded.gain(faded.stronger_beam());
-                        (
-                            self.nodes[i].front_end().antenna_power()
-                                - self.cfg.implementation_loss
-                                + mark,
-                            faded,
-                        )
-                    }
-                    None => (p, ch),
-                };
-                sep = ch.level_separation();
-                pwr_at.push(p);
-            } else {
-                pwr_at.push(p);
-            }
-        }
-        let sh = &task.shared;
-        let h = sh.slots[i].harmonic;
-        let sinr = sinr_with_tables(
-            &gains[a_serving],
-            halves[a_serving],
-            noise_at[a_serving],
-            i,
-            n,
-            h,
-            &sh.slots,
-            active,
-            |j| {
-                if j == i {
-                    pwr_at[a_serving]
-                } else {
-                    sh.rx[a_serving][j]
-                }
-            },
-        );
-        let decision_snr = sinr + proc_gain[i];
-        let ber = joint_ber(decision_snr, sep, Db::new(2.0));
-        let per = 1.0 - (1.0 - ber).powi(air_bits[i] as i32);
-        let draw = task.ctx.rng.gen::<f64>();
-        // Candidate view: what would each in-cone neighbor hear, on the
-        // node's current channel, through the harmonic that AP's TMA
-        // would assign it?
-        let mut alt = Vec::new();
-        for b in 0..self.aps.len() {
-            if b == a_serving || !in_cone[b][i] {
-                continue;
-            }
-            let hb = cand_harmonic[b][i];
-            let s = sinr_with_tables(
-                &gains[b],
-                halves[b],
-                noise_at[b],
-                i,
-                n,
-                hb,
-                &sh.slots,
-                active,
-                |j| if j == i { pwr_at[b] } else { sh.rx[b][j] },
-            );
-            alt.push((b as u16, s.value()));
-        }
-        MGather {
-            i,
-            ctx: task.ctx,
-            pwr_at,
-            sinr,
-            per,
-            draw,
-            alt,
-        }
-    }
-
     /// Runs the simulation.
     pub fn run(&self) -> Result<MultiApReport, MultiApError> {
         self.run_observed(&mut Recorder::disabled())
     }
 
-    /// [`MultiApSim::run`] with observability: `fsm`, `handoff` and
-    /// `apmsg` trace events plus coordination counters flow into `rec`.
-    /// Nothing about the run depends on the recorder, so the trace is a
-    /// pure function of the scenario — byte-identical across thread
-    /// counts.
+    /// [`MultiApSim::run`] with observability: `assoc`, `fsm`, `handoff`
+    /// and `apmsg` trace events plus coordination counters flow into
+    /// `rec`. Nothing about the run depends on the recorder, so the
+    /// trace is a pure function of the scenario — byte-identical across
+    /// thread counts.
     pub fn run_observed(&self, rec: &mut Recorder) -> Result<MultiApReport, MultiApError> {
         // ---- validation ----
         if self.aps.is_empty() {
@@ -664,163 +378,93 @@ impl MultiApSim {
         if self.nodes.is_empty() {
             return Err(MultiApError::Empty);
         }
-        for ap in &self.aps {
-            if ap.tma().is_none() {
-                return Err(MultiApError::NeedsTma(ap.id()));
-            }
-        }
-        let na = self.aps.len();
-        let nn = self.nodes.len();
+        let tmas = self
+            .aps
+            .iter()
+            .map(|ap| ap.tma().ok_or(MultiApError::NeedsTma(ap.id())))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (na, nn) = (self.aps.len(), self.nodes.len());
+        let cfg = &self.cfg;
 
         // ---- spectrum coordination ----
-        let capacity = self.cfg.plan.capacity(self.cfg.sdm_channel_width).max(1);
-        let table: Vec<ChannelAssignment> = self.cfg.plan.channel_table(self.cfg.sdm_channel_width);
-        debug_assert!(self.cfg.plan.validate_channels(&table).is_ok());
-        let coverage: Vec<ApCoverage> = (0..na).map(|a| self.coverage(a)).collect();
-        let reuse = HarmonicReusePlan::new(&coverage, capacity).map_err(MultiApError::Plan)?;
-        let bandwidth = self.cfg.sdm_channel_width;
-        let rate = self.cfg.plan.rate_for(bandwidth);
-        let rates: Vec<BitRate> = self.nodes.iter().map(|n| n.demand.min(rate)).collect();
-        let proc_gain: Vec<Db> = rates
+        let width = cfg.sdm_channel_width;
+        let capacity = cfg.plan.capacity(width).max(1);
+        let table: Vec<ChannelAssignment> = cfg.plan.channel_table(width);
+        debug_assert!(cfg.plan.validate_channels(&table).is_ok());
+        let coverage: Vec<ApCoverage> = self
+            .aps
             .iter()
-            .map(|r| Db::new(10.0 * (bandwidth.hz() / (1.25 * r.bps())).log10()).max(Db::ZERO))
+            .map(|ap| ApCoverage::new(ap.pose, cfg.coverage_half_angle, cfg.coverage_range_m))
             .collect();
-        let air_bits: Vec<usize> = self.nodes.iter().map(|n| n.packet_air_bits()).collect();
+        let reuse = HarmonicReusePlan::new(&coverage, capacity).map_err(MultiApError::Plan)?;
+        let rate = cfg.plan.rate_for(width);
 
-        // ---- geometry tables (frozen for the run) ----
-        let aoa: Vec<Vec<Degrees>> = (0..na)
-            .map(|a| (0..nn).map(|i| self.aoa_at(a, i)).collect())
+        // ---- geometry ----
+        let aoa: Vec<Vec<Degrees>> = self
+            .aps
+            .iter()
+            .map(|ap| self.nodes.iter().map(|n| arrival_angle(ap, n)).collect())
             .collect();
-        let in_cone: Vec<Vec<bool>> = (0..na)
-            .map(|a| {
-                (0..nn)
-                    .map(|i| coverage[a].contains(self.nodes[i].pose.position))
-                    .collect()
-            })
-            .collect();
+        let in_cone = |a: usize, i: usize| coverage[a].contains(self.nodes[i].pose.position);
         // Per-AP harmonic the TMA would hash each node into.
-        let cand_harmonic: Vec<Vec<i32>> = (0..na)
-            .map(|a| {
-                self.aps[a]
-                    .tma()
-                    .expect("validated above")
-                    .assign_harmonics(&aoa[a])
-            })
-            .collect();
-        // Exact per-AP gain tables: gains[a][m + half][j].
-        let halves: Vec<i32> = (0..na)
-            .map(|a| self.aps[a].tma().expect("validated").len() as i32 / 2)
-            .collect();
-        let gains: Vec<Vec<Vec<Db>>> = (0..na)
-            .map(|a| {
-                let tma = self.aps[a].tma().expect("validated");
-                tma.harmonics()
-                    .into_iter()
-                    .map(|m| aoa[a].iter().map(|&az| tma.harmonic_gain(m, az)).collect())
-                    .collect()
-            })
-            .collect();
-        let noise_at: Vec<DbmPower> = (0..na)
-            .map(|a| thermal_noise_dbm(bandwidth, self.aps[a].noise_figure()))
-            .collect();
-
-        // ---- mobility + initial channel state ----
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut walkers: Vec<RandomWaypoint> = (0..self.cfg.walkers)
-            .map(|k| {
-                let start = Vec2::new(
-                    self.room.width() * (0.25 + 0.5 * (k as f64 / self.cfg.walkers.max(1) as f64)),
-                    self.room.depth() * 0.5,
-                );
-                RandomWaypoint::new(&self.room, start, 1.4, 0.3, &mut rng)
-            })
-            .collect();
-        let mut pacer = self
-            .cfg
-            .pacer
-            .map(|r| LinearWalker::new(r.from, r.to, r.speed_mps));
-        let blockers = |walkers: &[RandomWaypoint], pacer: &Option<LinearWalker>| {
-            let mut b: Vec<HumanBlocker> = walkers
-                .iter()
-                .map(|w| HumanBlocker::typical(w.position()))
-                .collect();
-            if let Some(p) = pacer {
-                b.push(HumanBlocker::typical(p.position()));
-            }
-            b
-        };
-        let mut cur_blockers = Arc::new(blockers(&walkers, &pacer));
-        let mut scratch = Vec::new();
-        let mut rx: Vec<Vec<DbmPower>> = vec![Vec::with_capacity(nn); na];
-        for (a, rx_a) in rx.iter_mut().enumerate() {
-            for i in 0..nn {
-                let (p, _) = self.rx_power_into(a, i, &cur_blockers, &mut scratch);
-                rx_a.push(p);
-            }
-        }
+        let cand_harmonic: Vec<Vec<i32>> =
+            (0..na).map(|a| tmas[a].assign_harmonics(&aoa[a])).collect();
+        let world = World::new(Scene {
+            room: &self.room,
+            aps: &self.aps,
+            nodes: &self.nodes,
+            seed: cfg.seed,
+            walkers: cfg.walkers,
+            pacer: cfg.pacer,
+            path_loss_exponent: cfg.path_loss_exponent,
+            second_order_reflections: false,
+            implementation_loss: cfg.implementation_loss,
+        });
 
         // ---- initial association: in-cone first, then arrival power,
         // ties to the lower AP id ----
-        let mut serving: Vec<ApId> = (0..nn)
+        let serving: Vec<ApId> = (0..nn)
             .map(|i| {
-                let mut best = 0usize;
-                for a in 1..na {
-                    let better = match (in_cone[a][i], in_cone[best][i]) {
-                        (true, false) => true,
-                        (false, true) => false,
-                        _ => rx[a][i] > rx[best][i],
-                    };
-                    if better {
-                        best = a;
-                    }
-                }
-                ApId(best as u16)
+                let key = |a: usize| (in_cone(a, i), world.arrival[a][i]);
+                ApId((1..na).fold(0, |best, a| if key(a) > key(best) { a } else { best }) as u16)
             })
             .collect();
 
-        // ---- TMA admission control: an AP can carry at most one node
-        // per (channel, harmonic) pair of its share, so each harmonic
-        // beam admits at most `channels` members; overload is rejected
-        // deterministically in node order. Rejected nodes stay silent —
-        // no grant, no packets, no interference contribution. ----
-        let mut is_admitted = vec![true; nn];
-        for (a, cand_a) in cand_harmonic.iter().enumerate() {
-            let cap = reuse.channels_of(ApId(a as u16)).len();
-            let mut per_h: BTreeMap<i32, usize> = BTreeMap::new();
-            for i in 0..nn {
-                if serving[i].index() != a {
-                    continue;
-                }
-                let c = per_h.entry(cand_a[i]).or_insert(0usize);
-                if *c >= cap {
-                    is_admitted[i] = false;
-                } else {
-                    *c += 1;
-                }
-            }
-        }
-
-        // ---- per-AP SDM schedules over each AP's channel share ----
-        let mut slots: Vec<SdmSlot> = vec![
+        // ---- per-AP TMA admission control and SDM schedule over the
+        // AP's channel share: an AP can carry at most one node per
+        // (channel, harmonic) pair, so each harmonic beam admits at most
+        // `channels` members; overload is rejected deterministically in
+        // node order. Rejected nodes stay silent — no grant, no packets,
+        // no interference contribution. ----
+        let mut admitted = vec![true; nn];
+        let mut slots = vec![
             SdmSlot {
                 channel: 0,
                 harmonic: 0
             };
             nn
         ];
-        for (a, aoa_a) in aoa.iter().enumerate() {
-            let members: Vec<usize> = (0..nn)
-                .filter(|&i| serving[i].index() == a && is_admitted[i])
-                .collect();
+        let mut per_ap_admitted = vec![0; na];
+        for a in 0..na {
+            let chs = reuse.channels_of(ApId(a as u16));
+            let mut per_h: BTreeMap<i32, usize> = BTreeMap::new();
+            let mut members = Vec::new();
+            for i in (0..nn).filter(|&i| serving[i].index() == a) {
+                let c = per_h.entry(cand_harmonic[a][i]).or_insert(0);
+                admitted[i] = *c < chs.len();
+                if admitted[i] {
+                    *c += 1;
+                    members.push(i);
+                }
+            }
+            per_ap_admitted[a] = members.len();
             if members.is_empty() {
                 continue;
             }
-            let chs = reuse.channels_of(ApId(a as u16));
-            let member_aoa: Vec<Degrees> = members.iter().map(|&i| aoa_a[i]).collect();
-            let scheduler = SdmScheduler::new(self.aps[a].tma().expect("validated").clone());
-            // The per-harmonic cap above is exactly the scheduler's
-            // feasibility condition, so this cannot fail.
-            let local = scheduler
+            let member_aoa: Vec<Degrees> = members.iter().map(|&i| aoa[a][i]).collect();
+            // The per-harmonic cap is exactly the scheduler's feasibility
+            // condition, so this cannot fail.
+            let local = SdmScheduler::new(tmas[a].clone())
                 .schedule(&member_aoa, chs.len())
                 .map_err(MultiApError::Sdm)?;
             for (k, &i) in members.iter().enumerate() {
@@ -830,604 +474,76 @@ impl MultiApSim {
                 };
             }
         }
-        let per_ap_admitted: Vec<usize> = (0..na)
-            .map(|a| {
-                (0..nn)
-                    .filter(|&i| serving[i].index() == a && is_admitted[i])
-                    .count()
-            })
-            .collect();
 
-        // ---- control plane setup: per-AP admission, arbiter claims,
-        // node links granted ----
-        let wide = self.admission_plan();
-        let mut adm: Vec<Admission> = (0..na).map(|_| Admission::new(wide.clone())).collect();
-        let mut arb = SlotArbiter::new();
-        let mut links: Vec<NodeLink> = Vec::with_capacity(nn);
-        let idx_of: BTreeMap<NodeId, usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, i))
-            .collect();
+        // ---- the run ----
         rec.event(0.0, "run", -1, "begin", "multi_ap", nn as f64);
-        for i in 0..nn {
-            let id = self.nodes[i].id;
-            let a = serving[i].index();
-            if !is_admitted[i] {
-                // Rejected at admission: the link stays Idle, tagged
-                // with the AP that turned it away.
-                let mut link = NodeLink::new();
-                link.set_serving(serving[i]);
-                links.push(link);
-                rec.event(0.0, "assoc", id as i64, "rejected", "", a as f64);
-                continue;
-            }
-            adm[a]
-                .join(id, self.nodes[i].demand)
-                .map_err(MultiApError::Admission)?;
-            let verdict = arb.handle(&ApMsg::Claim {
-                ap: serving[i],
-                node: id,
-                epoch: 0,
-            });
-            let ArbiterVerdict::Granted { epoch } = verdict else {
-                unreachable!("setup claims are in node order over fresh state");
-            };
-            let mut link = NodeLink::new();
-            link.set_serving(serving[i]);
-            link.start_join(Seconds::ZERO);
-            let center = table[slots[i].channel].center.hz();
-            link.on_grant(epoch, center, Seconds::ZERO);
-            // Initial SINR through the shared interference model — the
-            // `assoc` trace ties the engine to `sinr_at_ap`. Computed
-            // over the admitted population only (rejected nodes are
-            // silent), via a compacted index view.
-            if rec.is_enabled() {
-                let tma = self.aps[a].tma().expect("validated");
-                let live: Vec<usize> = (0..nn).filter(|&j| is_admitted[j]).collect();
-                let me = live.iter().position(|&j| j == i).expect("i is admitted");
-                let live_slots: Vec<SdmSlot> = live.iter().map(|&j| slots[j]).collect();
-                let s0 = sinr_at_ap(
-                    tma,
-                    self.aps[a].noise_figure(),
-                    bandwidth,
-                    me,
-                    live.len(),
-                    &live_slots,
-                    |j| rx[a][live[j]],
-                    |j| aoa[a][live[j]],
-                );
-                rec.event(0.0, "assoc", id as i64, "granted", "", s0.value());
-            }
-            links.push(link);
-        }
-
-        // ---- run state ----
-        let faults = self
-            .cfg
-            .inter_ap_faults
-            .clone()
-            .unwrap_or_else(FaultConfig::none);
-        let mut inj = FaultInjector::new(faults, self.cfg.seed);
-        let backoff_policy = Backoff::standard();
-        let mut ho = HandoffReport::default();
-        let mut better_run = vec![0u32; nn];
-        // Slot reserved at the target AP while its grant is in flight.
-        let mut pending: BTreeMap<usize, (ApId, SdmSlot)> = BTreeMap::new();
-        let mut handoff_took: Vec<f64> = Vec::new();
-        let mut sent = vec![0u64; nn];
-        let mut delivered = vec![0u64; nn];
-        let mut sinr_sum = vec![0.0f64; nn];
-        let mut sinr_min = vec![f64::INFINITY; nn];
-        let mut trace: Vec<MultiApPacketSample> = Vec::new();
-        let mut ctxs: Vec<Option<MCtx>> = (0..nn)
-            .map(|i| {
-                let mut rng = streams::node_stream(self.cfg.seed, i);
-                let fader = self
-                    .cfg
-                    .fading
-                    .map(|f| FadingProcess::new(Rician::new(Db::new(f.k_db)), f.rho, &mut rng));
-                Some(MCtx {
-                    rng,
-                    fader,
-                    paths: Vec::new(),
-                })
-            })
-            .collect();
-
-        let mut q: EventQueue<MEvent> = EventQueue::new();
-        q.schedule_at(Seconds::ZERO + self.cfg.step, MEvent::Step)
-            .expect("first step is ahead of t = 0");
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !is_admitted[i] {
-                continue; // rejected nodes never transmit
-            }
-            let offset = n.packet_interval() * (i as f64 / nn as f64);
-            q.schedule_at(offset, MEvent::Packet(i))
-                .expect("first packet is ahead of t = 0");
-        }
-
-        // ---- the gather→commit event loop ----
-        let threads = pool::resolve_threads(self.cfg.threads);
-        let gains_ref = &gains;
-        let halves_ref = &halves;
-        let noise_ref = &noise_at;
-        let cand_ref = &cand_harmonic;
-        let cone_ref = &in_cone;
-        let pg_ref = &proc_gain;
-        let ab_ref = &air_bits;
-        let adm_ref = &is_admitted;
-        pool::scoped(
-            threads,
-            |task: MTask| {
-                self.gather_packet(
-                    task, gains_ref, halves_ref, noise_ref, cand_ref, cone_ref, pg_ref, ab_ref,
-                    adm_ref,
-                )
-            },
-            |disp| {
-                let mut batch: Vec<(Seconds, usize)> = Vec::new();
-                let mut results: Vec<Option<MGather>> = Vec::new();
-                while let Some((t, ev)) = q.pop() {
-                    if t > self.cfg.duration {
-                        break;
-                    }
-                    match ev {
-                        MEvent::Step => {
-                            for w in walkers.iter_mut() {
-                                w.step(&self.room, self.cfg.step.value(), &mut rng);
-                            }
-                            if let Some(p) = pacer.as_mut() {
-                                p.step(self.cfg.step.value());
-                            }
-                            cur_blockers = Arc::new(blockers(&walkers, &pacer));
-                            q.schedule_in(self.cfg.step, MEvent::Step)
-                                .expect("step period is positive");
-                        }
-                        MEvent::Arbit(msg) => {
-                            let verdict = arb.handle(&msg);
-                            let (kind, vstr) = (
-                                match msg {
-                                    ApMsg::Claim { .. } => "claim",
-                                    ApMsg::Release { .. } => "release",
-                                    ApMsg::Transfer { .. } => "transfer",
-                                },
-                                match verdict {
-                                    ArbiterVerdict::Granted { .. } => "granted",
-                                    ArbiterVerdict::Denied { .. } => "denied",
-                                    ArbiterVerdict::Stale => "stale",
-                                },
-                            );
-                            rec.event(
-                                t.value(),
-                                "apmsg",
-                                msg.node() as i64,
-                                kind,
-                                vstr,
-                                msg.epoch() as f64,
-                            );
-                            let ApMsg::Transfer { from, to, node, .. } = msg else {
-                                continue;
-                            };
-                            let i = idx_of[&node];
-                            match verdict {
-                                ArbiterVerdict::Granted { epoch } => {
-                                    // Move the admission record and
-                                    // reserve a slot at the target.
-                                    adm[from.index()].leave(node);
-                                    let joined =
-                                        adm[to.index()].join(node, self.nodes[i].demand).is_ok();
-                                    let free = joined.then(|| {
-                                        // First target channel free of a
-                                        // (channel, harmonic) collision
-                                        // among members and in-flight
-                                        // reservations.
-                                        let h = cand_harmonic[to.index()][i];
-                                        reuse
-                                            .channels_of(to)
-                                            .iter()
-                                            .copied()
-                                            .find(|&c| {
-                                                !(0..nn).any(|j| {
-                                                    if j == i || !is_admitted[j] {
-                                                        return false;
-                                                    }
-                                                    let at_to = serving[j] == to
-                                                        || pending
-                                                            .get(&j)
-                                                            .is_some_and(|&(ap, _)| ap == to);
-                                                    at_to
-                                                        && slots[j].channel == c
-                                                        && slots[j].harmonic == h
-                                                })
-                                            })
-                                            .map(|c| SdmSlot {
-                                                channel: c,
-                                                harmonic: h,
-                                            })
-                                    });
-                                    match free.flatten() {
-                                        Some(slot) => {
-                                            pending.insert(i, (to, slot));
-                                            let ev = MEvent::TransferGrant {
-                                                node: i,
-                                                to,
-                                                epoch,
-                                                slot,
-                                            };
-                                            if !offer_backhaul(&mut q, &mut inj, t, ev) {
-                                                // Lost grant; the retry
-                                                // path will resync.
-                                            }
-                                        }
-                                        None => {
-                                            // No room at the target:
-                                            // hand ownership back.
-                                            if joined {
-                                                adm[to.index()].leave(node);
-                                            }
-                                            adm[from.index()].join(node, self.nodes[i].demand).ok();
-                                            arb.handle(&ApMsg::Claim {
-                                                ap: from,
-                                                node,
-                                                epoch,
-                                            });
-                                            ho.denied += 1;
-                                            rec.event(
-                                                t.value(),
-                                                "handoff",
-                                                node as i64,
-                                                "denied",
-                                                "",
-                                                to.index() as f64,
-                                            );
-                                        }
-                                    }
-                                }
-                                ArbiterVerdict::Denied { .. } => ho.denied += 1,
-                                ArbiterVerdict::Stale => {
-                                    // A retried transfer for a move
-                                    // that already applied is the node
-                                    // telling us its grant never
-                                    // arrived: re-deliver it.
-                                    if let (Some((owner, ep)), Some(&(pto, slot))) =
-                                        (arb.owner_of(node), pending.get(&i))
-                                    {
-                                        if owner == to && pto == to {
-                                            let ev = MEvent::TransferGrant {
-                                                node: i,
-                                                to,
-                                                epoch: ep,
-                                                slot,
-                                            };
-                                            offer_backhaul(&mut q, &mut inj, t, ev);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        MEvent::TransferGrant {
-                            node: i,
-                            to,
-                            epoch,
-                            slot,
-                        } => {
-                            let id = self.nodes[i].id;
-                            let center = table[slot.channel].center.hz();
-                            let old = links[i].state();
-                            let (action, took) = links[i].on_transfer_grant(epoch, center, to, t);
-                            if action == LinkAction::AckGrant {
-                                // The break: retune and switch.
-                                slots[i] = slot;
-                                serving[i] = to;
-                                pending.remove(&i);
-                                better_run[i] = 0;
-                                ho.completed += 1;
-                                if let Some(d) = took {
-                                    handoff_took.push(d.value());
-                                }
-                                rec.event(
-                                    t.value(),
-                                    "fsm",
-                                    id as i64,
-                                    state_name(old),
-                                    state_name(links[i].state()),
-                                    epoch as f64,
-                                );
-                                rec.event(
-                                    t.value(),
-                                    "handoff",
-                                    id as i64,
-                                    "commit",
-                                    "",
-                                    to.index() as f64,
-                                );
-                            }
-                        }
-                        MEvent::RetryTransfer { node: i, attempt } => {
-                            let id = self.nodes[i].id;
-                            let LinkState::Handoff { from, to } = links[i].state() else {
-                                continue; // already resolved
-                            };
-                            if attempt != links[i].attempt() {
-                                continue; // superseded timer
-                            }
-                            if attempt >= self.cfg.max_transfer_retries {
-                                match arb.owner_of(id) {
-                                    Some((owner, ep)) if owner == to => {
-                                        // Ownership moved but every grant
-                                        // copy was lost: the coordinator
-                                        // re-delivers over the reliable
-                                        // backhaul.
-                                        ho.grant_resyncs += 1;
-                                        let (_, slot) =
-                                            pending.get(&i).copied().expect("reserved at apply");
-                                        q.schedule_at(
-                                            t + CONTROL_RTT * HOP,
-                                            MEvent::TransferGrant {
-                                                node: i,
-                                                to,
-                                                epoch: ep,
-                                                slot,
-                                            },
-                                        )
-                                        .expect("resync is ahead of now");
-                                        rec.event(
-                                            t.value(),
-                                            "handoff",
-                                            id as i64,
-                                            "resync",
-                                            "",
-                                            to.index() as f64,
-                                        );
-                                    }
-                                    _ => {
-                                        // Ownership never moved: give up
-                                        // and stay home.
-                                        links[i].abort_handoff();
-                                        ho.aborted += 1;
-                                        rec.event(
-                                            t.value(),
-                                            "fsm",
-                                            id as i64,
-                                            "Handoff",
-                                            "Granted",
-                                            links[i].epoch_seen() as f64,
-                                        );
-                                        rec.event(
-                                            t.value(),
-                                            "handoff",
-                                            id as i64,
-                                            "abort",
-                                            "",
-                                            from.index() as f64,
-                                        );
-                                    }
-                                }
-                            } else if links[i].retry_transfer(attempt) == LinkAction::SendTransfer {
-                                ho.transfer_retries += 1;
-                                ho.transfers_sent += 1;
-                                let msg = ApMsg::Transfer {
-                                    from,
-                                    to,
-                                    node: id,
-                                    epoch: links[i].epoch_seen(),
-                                };
-                                if !offer_backhaul(&mut q, &mut inj, t, MEvent::Arbit(msg)) {
-                                    ho.transfers_lost += 1;
-                                }
-                                let next = attempt + 1;
-                                q.schedule_at(
-                                    t + backoff_policy.delay(next, inj.jitter()),
-                                    MEvent::RetryTransfer {
-                                        node: i,
-                                        attempt: next,
-                                    },
-                                )
-                                .expect("backoff delay is positive");
-                            }
-                        }
-                        MEvent::Packet(first) => {
-                            // -- drain: a lookahead window of packets --
-                            batch.clear();
-                            batch.push((t, first));
-                            let mut horizon = t + self.nodes[first].packet_interval();
-                            while batch.len() < MAX_BATCH {
-                                match q.peek() {
-                                    Some((tn, &MEvent::Packet(_)))
-                                        if tn < horizon && tn <= self.cfg.duration =>
-                                    {
-                                        let Some((tn, MEvent::Packet(j))) = q.pop() else {
-                                            unreachable!("peeked a packet");
-                                        };
-                                        horizon = horizon.min(tn + self.nodes[j].packet_interval());
-                                        batch.push((tn, j));
-                                    }
-                                    _ => break,
-                                }
-                            }
-                            // -- gather: per-node work, in parallel --
-                            let shared = Arc::new(MShared {
-                                blockers: Arc::clone(&cur_blockers),
-                                rx: rx.clone(),
-                                slots: slots.clone(),
-                                serving: serving.clone(),
-                            });
-                            let tasks: Vec<MTask> = batch
-                                .iter()
-                                .map(|&(_, i)| MTask {
-                                    i,
-                                    ctx: ctxs[i].take().expect("one packet per node per batch"),
-                                    shared: Arc::clone(&shared),
-                                })
-                                .collect();
-                            disp.run(tasks, &mut results);
-                            // -- commit: apply in drained order --
-                            for (slot_idx, &(tb, i)) in batch.iter().enumerate() {
-                                let g = results[slot_idx].take().expect("gather result");
-                                debug_assert_eq!(g.i, i);
-                                let id = self.nodes[i].id;
-                                for (rx_a, &p) in rx.iter_mut().zip(&g.pwr_at) {
-                                    rx_a[i] = p;
-                                }
-                                sent[i] += 1;
-                                sinr_sum[i] += g.sinr.value();
-                                sinr_min[i] = sinr_min[i].min(g.sinr.value());
-                                let ok = g.draw >= g.per;
-                                // Delivery crediting: the serving AP
-                                // holds the node's current grant and is
-                                // the only forwarder; a mid-handoff
-                                // target forwards only once the node has
-                                // accepted its grant — at which point it
-                                // *is* the serving AP. Count credits
-                                // honestly and flag any double.
-                                let mut credits = 0u32;
-                                if ok {
-                                    credits += 1;
-                                    delivered[i] += 1;
-                                }
-                                if let LinkState::Handoff { to, .. } = links[i].state() {
-                                    if let Some(&(_, s)) =
-                                        g.alt.iter().find(|&&(b, _)| ApId(b) == to)
-                                    {
-                                        let cand_decodes =
-                                            Db::new(s) + proc_gain[i] >= self.cfg.decode_threshold;
-                                        if ok && cand_decodes {
-                                            ho.dual_decodes += 1;
-                                            if links[i].serving() == to {
-                                                credits += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                                if credits > 1 {
-                                    ho.duplicate_deliveries += 1;
-                                }
-                                if self.cfg.record_trace {
-                                    trace.push(MultiApPacketSample {
-                                        t: tb,
-                                        node: i,
-                                        ap: serving[i],
-                                        sinr_db: g.sinr.value(),
-                                        delivered: ok,
-                                    });
-                                }
-                                // Roaming hysteresis: only a cleanly
-                                // granted node arms a handoff.
-                                if matches!(links[i].state(), LinkState::Granted) {
-                                    let best = g.alt.iter().copied().fold(
-                                        None,
-                                        |acc: Option<(u16, f64)>, (b, s)| match acc {
-                                            Some((_, bs)) if bs >= s => acc,
-                                            _ => Some((b, s)),
-                                        },
-                                    );
-                                    match best {
-                                        Some((b, s))
-                                            if s > g.sinr.value()
-                                                + self.cfg.handoff_hysteresis.value() =>
-                                        {
-                                            better_run[i] += 1;
-                                            if better_run[i] >= self.cfg.handoff_window {
-                                                let to = ApId(b);
-                                                if links[i].begin_handoff(to, tb)
-                                                    == LinkAction::SendTransfer
-                                                {
-                                                    better_run[i] = 0;
-                                                    ho.attempts += 1;
-                                                    ho.transfers_sent += 1;
-                                                    rec.event(
-                                                        tb.value(),
-                                                        "fsm",
-                                                        id as i64,
-                                                        "Granted",
-                                                        "Handoff",
-                                                        links[i].epoch_seen() as f64,
-                                                    );
-                                                    rec.event(
-                                                        tb.value(),
-                                                        "handoff",
-                                                        id as i64,
-                                                        "begin",
-                                                        "",
-                                                        to.index() as f64,
-                                                    );
-                                                    let msg = ApMsg::Transfer {
-                                                        from: serving[i],
-                                                        to,
-                                                        node: id,
-                                                        epoch: links[i].epoch_seen(),
-                                                    };
-                                                    if !offer_backhaul(
-                                                        &mut q,
-                                                        &mut inj,
-                                                        tb,
-                                                        MEvent::Arbit(msg),
-                                                    ) {
-                                                        ho.transfers_lost += 1;
-                                                    }
-                                                    q.schedule_at(
-                                                        tb + backoff_policy.delay(0, inj.jitter()),
-                                                        MEvent::RetryTransfer {
-                                                            node: i,
-                                                            attempt: 0,
-                                                        },
-                                                    )
-                                                    .expect("backoff delay is positive");
-                                                }
-                                            }
-                                        }
-                                        _ => better_run[i] = 0,
-                                    }
-                                }
-                                ctxs[i] = Some(g.ctx);
-                                q.schedule_at(
-                                    tb + self.nodes[i].packet_interval(),
-                                    MEvent::Packet(i),
-                                )
-                                .expect("reschedule lands inside the batch horizon");
-                            }
-                        }
-                    }
-                }
-            },
-        );
-
-        // ---- wrap up ----
-        ho.stale_transfer_msgs = arb.stale_discarded();
-        ho.stale_grants_discarded = links.iter().map(|l| l.stale_discarded()).sum();
-        if !handoff_took.is_empty() {
-            ho.mean_handoff_s = handoff_took.iter().sum::<f64>() / handoff_took.len() as f64;
-            ho.max_handoff_s = handoff_took.iter().cloned().fold(0.0, f64::max);
-        }
+        let out = world
+            .run(
+                Plan {
+                    listen: tmas.into_iter().map(Some).collect(),
+                    channels_of: (0..na)
+                        .map(|a| reuse.channels_of(ApId(a as u16)).to_vec())
+                        .collect(),
+                    channel_hz: table.iter().map(|c| c.center.hz()).collect(),
+                    serving,
+                    admitted: admitted.clone(),
+                    slots,
+                    rates: self.nodes.iter().map(|n| n.demand.min(rate)).collect(),
+                    reach: (0..nn)
+                        .map(|i| {
+                            (0..na)
+                                .filter(|&a| in_cone(a, i))
+                                .map(|a| (ApId(a as u16), cand_harmonic[a][i]))
+                                .collect()
+                        })
+                        .collect(),
+                    bandwidth: width,
+                    duration: cfg.duration,
+                    step: cfg.step,
+                    fading: cfg.fading,
+                    threads: cfg.threads,
+                    record_trace: cfg.record_trace,
+                    decode_threshold: cfg.decode_threshold,
+                    power_control: None,
+                    rate_adaptation: false,
+                    control: Control::Instant,
+                    faults: cfg
+                        .inter_ap_faults
+                        .clone()
+                        .unwrap_or_else(FaultConfig::none),
+                    admission_plan: wide_admission_plan(&cfg.plan, &self.nodes),
+                    handoff_hysteresis: cfg.handoff_hysteresis,
+                    handoff_window: cfg.handoff_window,
+                    max_transfer_retries: cfg.max_transfer_retries,
+                    packet_metrics: false,
+                    trace_assoc: true,
+                },
+                rec,
+            )
+            .map_err(MultiApError::Admission)?;
+        let ho = out.handoff.clone();
         rec.add("handoff_attempts", "", ho.attempts);
         rec.add("handoff_completed", "", ho.completed);
         rec.add("handoff_aborted", "", ho.aborted);
         rec.add("apmsg_stale", "", ho.stale_transfer_msgs);
-        rec.event(self.cfg.duration.value(), "run", -1, "end", "multi_ap", 0.0);
+        rec.event(cfg.duration.value(), "run", -1, "end", "multi_ap", 0.0);
         let nodes = (0..nn)
             .map(|i| MultiApNodeReport {
                 id: self.nodes[i].id,
-                admitted: is_admitted[i],
-                ap: links[i].serving(),
-                sent: sent[i],
-                delivered: delivered[i],
-                mean_sinr_db: if sent[i] > 0 {
-                    sinr_sum[i] / sent[i] as f64
+                admitted: admitted[i],
+                ap: out.links[i].serving(),
+                sent: out.sent[i],
+                delivered: out.delivered[i],
+                mean_sinr_db: out.mean_sinr_db(i).unwrap_or(0.0),
+                min_sinr_db: if out.sent[i] > 0 {
+                    out.sinr_min[i]
                 } else {
                     0.0
                 },
-                min_sinr_db: if sent[i] > 0 { sinr_min[i] } else { 0.0 },
-                per: if sent[i] > 0 {
-                    1.0 - delivered[i] as f64 / sent[i] as f64
-                } else {
-                    0.0
-                },
-                goodput_bps: delivered[i] as f64 * self.nodes[i].payload_bytes as f64 * 8.0
-                    / self.cfg.duration.value(),
-                handoffs: links[i].handoffs(),
-                slot: slots[i],
+                per: out.per(i),
+                goodput_bps: out.goodput_bps(i, &self.nodes[i], cfg.duration),
+                handoffs: out.links[i].handoffs(),
+                slot: out.slots[i],
             })
             .collect();
         Ok(MultiApReport {
@@ -1436,8 +552,8 @@ impl MultiApSim {
             reuse_gain: reuse.reuse_gain(),
             num_colors: reuse.num_colors(),
             capacity,
-            duration: self.cfg.duration,
-            trace,
+            duration: cfg.duration,
+            trace: out.trace,
             handoff: ho,
         })
     }

@@ -1,175 +1,23 @@
 //! The network simulator: many nodes streaming to one AP.
 //!
-//! This is the engine behind Fig. 13 (and the network-level examples):
-//! admission, FDM channel allocation with SDM fallback, per-packet
-//! channel tracing with walking blockers, SINR → BER → packet-error
-//! conversion, and energy accounting.
+//! This is the front end behind Fig. 13 (and the network-level
+//! examples): FDM channel allocation with SDM fallback, then the shared
+//! gather→commit engine (DESIGN.md §9) for admission, per-packet channel
+//! tracing with walking blockers, SINR → BER → packet-error conversion,
+//! and energy accounting.
 
-use crate::ap::ApStation;
-use crate::control::{
-    Admission, ControlMsg, LeaseConfig, NodeId, CONTROL_MSG_ENERGY_J, CONTROL_RTT,
-};
-use crate::energy::EnergyMeter;
-use crate::event::EventQueue;
-use crate::faults::{FaultConfig, FaultInjector};
+use crate::ap::{ApId, ApStation};
+use crate::control::{Admission, LeaseConfig, NodeId};
+use crate::engine::{arrival_angle, Control, Plan, Scene, World};
+use crate::faults::FaultConfig;
 use crate::fdm::{AllocError, BandPlan};
-use crate::interference::adjacent_channel_leakage;
-use crate::link::{Backoff, LinkAction, LinkState, NodeLink};
+use crate::multi_ap::PacerRoute;
 use crate::node::NodeStation;
-use crate::pool;
 use crate::sdm::{SdmError, SdmScheduler, SdmSlot};
-use crate::streams;
-use mmx_channel::blockage::HumanBlocker;
-use mmx_channel::fading::{FadingProcess, Rician};
-use mmx_channel::mobility::{LinearWalker, RandomWaypoint};
-use mmx_channel::response::{beam_channel_into, BeamChannel};
 use mmx_channel::room::Room;
-use mmx_channel::trace::{PropPath, Tracer};
-use mmx_obs::{ObsStage, Recorder};
-use mmx_phy::ber::{fsk_ber, joint_ber};
-use mmx_units::{thermal_noise_dbm, Band, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-
-/// Upper bound on one gather batch (bounds per-batch task memory; far
-/// above any realistic same-window packet census).
-const MAX_BATCH: usize = 4096;
-
-/// Static tag for a link state, used in `fsm` trace events and
-/// `fsm_time_in_state_s` gauge labels (shared with the multi-AP
-/// engine's trace, which is where `Handoff` actually occurs).
-pub(crate) fn state_name(s: LinkState) -> &'static str {
-    match s {
-        LinkState::Idle => "Idle",
-        LinkState::Joining => "Joining",
-        LinkState::Granted => "Granted",
-        LinkState::Outage => "Outage",
-        LinkState::Rejoining => "Rejoining",
-        LinkState::Handoff { .. } => "Handoff",
-    }
-}
-
-/// Trace tags of a control-plane event in flight: message name, subject
-/// node id, and the numeric payload worth keeping (the grant epoch).
-fn ctl_meta(ev: &FEvent) -> Option<(&'static str, i64, f64)> {
-    let msg = match ev {
-        FEvent::ToAp(m) => m,
-        FEvent::ToNode(_, m) => m,
-        _ => return None,
-    };
-    Some(match msg {
-        ControlMsg::JoinRequest { node, .. } => ("join", *node as i64, 0.0),
-        ControlMsg::Grant { node, epoch, .. } => ("grant", *node as i64, *epoch as f64),
-        ControlMsg::GrantAck { node, epoch } => ("ack", *node as i64, *epoch as f64),
-        ControlMsg::Keepalive { node } => ("keepalive", *node as i64, 0.0),
-        ControlMsg::Reject { node } => ("reject", *node as i64, 0.0),
-        ControlMsg::Leave { node } => ("leave", *node as i64, 0.0),
-    })
-}
-
-/// Per-node FSM bookkeeping for observability: charges the stretch
-/// since the last transition to the state just left (gauge + outage
-/// histogram) and emits the `fsm` trace event. No-op (beyond updating
-/// the cursor) when the state did not change or the recorder is
-/// disabled.
-fn fsm_note(
-    rec: &mut Recorder,
-    cursor: &mut [(LinkState, f64)],
-    t: Seconds,
-    i: usize,
-    was: LinkState,
-    now: LinkState,
-) {
-    if was == now {
-        return;
-    }
-    let since = cursor[i].1;
-    cursor[i] = (now, t.value());
-    let dwell = (t.value() - since).max(0.0);
-    rec.gauge_add("fsm_time_in_state_s", state_name(was), dwell);
-    if was == LinkState::Outage {
-        rec.observe("outage_s", "", dwell);
-    }
-    rec.event(
-        t.value(),
-        "fsm",
-        i as i64,
-        state_name(was),
-        state_name(now),
-        0.0,
-    );
-}
-
-/// Stack-local accumulators for the per-packet metrics.
-///
-/// The packet arm is the simulator's hot loop, so samples land in plain
-/// counters and local histograms (one array index per sample) and flush
-/// into the recorder's keyed registry once per run — exactly equivalent,
-/// by the histogram merge law, to observing each sample directly, but
-/// without a keyed map lookup per packet.
-struct PacketMetrics {
-    on: bool,
-    sent: u64,
-    delivered: u64,
-    lost_to_churn: u64,
-    fsk_fallback: u64,
-    sinr_db: mmx_obs::Histogram,
-    margin_db: mmx_obs::Histogram,
-    ber: mmx_obs::Histogram,
-}
-
-impl PacketMetrics {
-    fn new(rec: &Recorder) -> Self {
-        PacketMetrics {
-            on: rec.is_enabled(),
-            sent: 0,
-            delivered: 0,
-            lost_to_churn: 0,
-            fsk_fallback: 0,
-            sinr_db: mmx_obs::Histogram::new(),
-            margin_db: mmx_obs::Histogram::new(),
-            ber: mmx_obs::Histogram::new(),
-        }
-    }
-
-    /// Absorbs a gather task's staged observations into the stack-local
-    /// histograms, in staging order. Routing matches on the static name
-    /// tags the gather phase stages, so the commit path stays free of
-    /// keyed map lookups; trace events (none staged today) would merge
-    /// straight into the recorder.
-    fn absorb(&mut self, stage: &mut mmx_obs::ObsStage) {
-        for (name, _label, v) in stage.drain_observations() {
-            match name {
-                "sinr_db" => self.sinr_db.record(v),
-                "decision_margin_db" => self.margin_db.record(v),
-                "ber" => self.ber.record(v),
-                other => debug_assert!(false, "unrouted staged observation {other}"),
-            }
-        }
-    }
-
-    fn flush(&self, rec: &mut Recorder) {
-        if !self.on {
-            return;
-        }
-        if self.sent > 0 {
-            rec.add("packets_sent", "", self.sent);
-        }
-        if self.delivered > 0 {
-            rec.add("packets_delivered", "", self.delivered);
-        }
-        if self.lost_to_churn > 0 {
-            rec.add("packets_lost_to_churn", "", self.lost_to_churn);
-        }
-        if self.fsk_fallback > 0 {
-            rec.add("fsk_fallback_packets", "", self.fsk_fallback);
-        }
-        rec.observe_hist("sinr_db", "", &self.sinr_db);
-        rec.observe_hist("decision_margin_db", "", &self.margin_db);
-        rec.observe_hist("ber", "", &self.ber);
-    }
-}
+use mmx_channel::Vec2;
+use mmx_obs::Recorder;
+use mmx_units::{Band, BitRate, Db, Degrees, Hertz, Seconds};
 
 /// Simulator configuration.
 #[derive(Debug, Clone)]
@@ -213,9 +61,10 @@ pub struct SimConfig {
     pub second_order_reflections: bool,
     /// Record a per-packet trace in the report.
     pub record_trace: bool,
-    /// Fault injection (`None` = the original fault-free engine: the
-    /// control handshake is abstracted into a one-shot allocation and
-    /// nodes never lose their grants).
+    /// Fault injection. `None`: the engine's instant control plane —
+    /// every node is granted once, losslessly, at t = 0 and never loses
+    /// its grant. `Some`: the join/grant/lease handshake runs over a
+    /// control channel with these faults (DESIGN.md §7).
     pub faults: Option<FaultConfig>,
     /// Lease policy when faults are enabled.
     pub lease: LeaseConfig,
@@ -441,202 +290,17 @@ impl NetworkReport {
     }
 }
 
-enum Event {
-    Packet(usize),
-    Step,
-}
+/// Per-node slots and PHY rates, whether SDM was needed, and the center
+/// frequency of each channel index.
+type SlotPlan = (Vec<SdmSlot>, Vec<BitRate>, bool, Vec<f64>);
 
-/// Events of the faulted engine: the fault-free pair plus the control
-/// plane made explicit (messages in flight, timers, injected failures).
-#[derive(Clone)]
-enum FEvent {
-    /// Mobility/blockage update.
-    Step,
-    /// Node `i` transmits its next data packet.
-    Packet(usize),
-    /// A control message arrives at the AP.
-    ToAp(ControlMsg),
-    /// A control message arrives at node `i`.
-    ToNode(usize, ControlMsg),
-    /// Node `i`'s retransmit timer for join attempt `a` fired.
-    RetryJoin(usize, u32),
-    /// Node `i`'s keepalive timer fired.
-    KeepaliveTick(usize),
-    /// The AP scans for expired leases.
-    LeaseCheck,
-    /// Node `i` crashes.
-    Crash(usize),
-    /// Node `i` reboots and rejoins.
-    Rejoin(usize),
-    /// Node `i` becomes active and starts its first join.
-    Wake(usize),
-    /// Node `i` leaves the network for good.
-    Depart(usize),
-    /// A correlated blockage burst begins.
-    BurstStart,
-    /// The burst ends.
-    BurstEnd,
-    /// The AP restarts, losing all admission state.
-    ApRestart,
-}
-
-/// The lossy control-plane fabric: owns the event queue and the fault
-/// injector so every message send draws its fate deterministically.
-struct Fabric {
-    q: EventQueue<FEvent>,
-    inj: FaultInjector,
-    backoff: Backoff,
-    control_sent: u64,
-    control_retries: u64,
-}
-
-impl Fabric {
-    /// Sends a control message: it arrives after half the control RTT
-    /// plus injected delay, unless the injector drops it; duplicates
-    /// arrive shortly after the original. Every offered message leaves a
-    /// `ctl` trace event carrying its fate (`sent`/`lost`/`dup`).
-    fn send(&mut self, now: Seconds, ev: FEvent, rec: &mut Recorder) {
-        self.control_sent += 1;
-        let meta = ctl_meta(&ev);
-        let fate = self.inj.control_fate();
-        if fate.lost {
-            if let Some((name, node, v)) = meta {
-                rec.event(now.value(), "ctl", node, name, "lost", v);
-            }
-            return;
-        }
-        if let Some((name, node, v)) = meta {
-            let tag = if fate.duplicated { "dup" } else { "sent" };
-            rec.event(now.value(), "ctl", node, name, tag, v);
-        }
-        let at = now + CONTROL_RTT * 0.5 + fate.extra_delay;
-        self.q
-            .schedule_at(at, ev.clone())
-            .expect("arrival is ahead");
-        if fate.duplicated {
-            self.q
-                .schedule_at(at + CONTROL_RTT * 0.1, ev)
-                .expect("duplicate arrival is ahead");
-        }
-    }
-
-    /// Sends node `idx`'s `JoinRequest` and arms the retransmit timer
-    /// for the attempt the link is currently on. Retransmissions (any
-    /// attempt past the first) leave a `retry` trace event with the
-    /// attempt number and count into `join_retries`.
-    #[allow(clippy::too_many_arguments)]
-    fn send_join(
-        &mut self,
-        now: Seconds,
-        idx: usize,
-        link: &NodeLink,
-        node: NodeId,
-        demand_bps: f64,
-        meter: &mut EnergyMeter,
-        rec: &mut Recorder,
-    ) {
-        meter.record_fixed(CONTROL_MSG_ENERGY_J);
-        if link.attempt() > 0 {
-            self.control_retries += 1;
-            rec.inc("join_retries", "");
-            rec.event(
-                now.value(),
-                "retry",
-                idx as i64,
-                "join",
-                "",
-                link.attempt() as f64,
-            );
-        }
-        self.send(
-            now,
-            FEvent::ToAp(ControlMsg::JoinRequest { node, demand_bps }),
-            rec,
-        );
-        let retry = now + self.backoff.delay(link.attempt(), self.inj.jitter());
-        self.q
-            .schedule_at(retry, FEvent::RetryJoin(idx, link.attempt()))
-            .expect("retry timer is ahead");
-    }
-}
-
-/// The network simulator.
+/// The network simulator: the single-AP front end of the simulation
+/// engine (DESIGN.md §9).
 pub struct NetworkSim {
     room: Room,
     ap: ApStation,
     nodes: Vec<NodeStation>,
     cfg: SimConfig,
-}
-
-/// Per-node worker context for the gather phase: the node's private RNG
-/// stream ([`streams::node_stream`]), its time-correlated fading state,
-/// and reusable ray-trace scratch. Exactly one in-flight gather task
-/// owns a node's context at a time (a node appears at most once per
-/// batch), so no locking is needed — the context travels with the task
-/// and comes back with the result.
-struct NodeCtx {
-    rng: StdRng,
-    fader: Option<FadingProcess>,
-    paths: Vec<PropPath>,
-}
-
-/// State shared by every task of one gather batch, frozen at batch
-/// start: the blocker constellation (rebuilt on mobility `Step`s, which
-/// end batches), the arrival-power snapshot interference is computed
-/// against, and any blockage-burst penalty in force.
-struct BatchShared {
-    blockers: Arc<Vec<HumanBlocker>>,
-    rx: Vec<DbmPower>,
-    extra_loss: Db,
-    /// Observability enabled: gather tasks stage per-packet samples
-    /// into their [`ObsStage`] for the commit phase to absorb.
-    obs_on: bool,
-    /// Also stage the decision-margin sample (the faulted engine's
-    /// richer per-packet metric set).
-    obs_margin: bool,
-}
-
-/// One node's unit of independent gather work.
-struct PacketTask {
-    i: usize,
-    /// Demodulate FSK-only (the node is riding out an outage, §6.2).
-    fsk: bool,
-    ctx: NodeCtx,
-    shared: Arc<BatchShared>,
-}
-
-/// The pure result of one gather task — everything the commit phase
-/// needs, and nothing it has to recompute.
-struct PacketGather {
-    i: usize,
-    fsk: bool,
-    ctx: NodeCtx,
-    pwr: DbmPower,
-    sep: Db,
-    sinr: Db,
-    decision_snr: Db,
-    per: f64,
-    /// The node-stream uniform draw deciding packet delivery.
-    draw: f64,
-    /// Observability records produced on the worker, merged (absorbed)
-    /// by the commit phase in canonical order.
-    stage: ObsStage,
-}
-
-/// How the drain classified one batched packet event. Classification
-/// inputs (activity window, liveness, link FSM state) are only mutated
-/// by non-`Packet` events — which end batches — or by a node's own
-/// commit — and a node appears at most once per batch — so classifying
-/// at drain time is exactly equivalent to classifying at commit time.
-#[derive(Clone, Copy, PartialEq)]
-enum Planned {
-    /// Transmit: gets a gather task.
-    Tx,
-    /// The node left the network (activity window closed).
-    Inactive,
-    /// Radio down or lease lost: the application clock ticks, the
-    /// packet is lost to churn (faulted engine only).
-    Churn,
 }
 
 impl NetworkSim {
@@ -671,39 +335,28 @@ impl NetworkSim {
         &mut self.cfg
     }
 
-    /// Angle of arrival of each node's LoS at the AP, relative to the
-    /// AP's facing.
-    fn arrival_angles(&self) -> Vec<Degrees> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                ((n.pose.position - self.ap.pose.position).bearing() - self.ap.pose.facing)
-                    .wrapped()
-            })
-            .collect()
-    }
-
     /// Plans slots and PHY rates: FDM when the band fits the demand, SDM
     /// otherwise.
-    fn plan_slots(&self) -> Result<(Vec<SdmSlot>, Vec<BitRate>, bool), SimError> {
-        let demands: Vec<BitRate> = self.nodes.iter().map(|n| n.demand).collect();
+    fn plan_slots(&self) -> Result<SlotPlan, SimError> {
         let mut admission = Admission::new(self.cfg.plan.clone());
-        let mut fdm_ok = true;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if admission.join(n.id, demands[i]).is_err() {
-                fdm_ok = false;
-                break;
-            }
-        }
+        let fdm_ok = self
+            .nodes
+            .iter()
+            .all(|n| admission.join(n.id, n.demand).is_ok());
         if fdm_ok {
-            let rates = demands.clone();
             let slots = (0..self.nodes.len())
                 .map(|i| SdmSlot {
                     channel: i,
                     harmonic: 0,
                 })
                 .collect();
-            return Ok((slots, rates, false));
+            let rates = self.nodes.iter().map(|n| n.demand).collect();
+            let centers = self
+                .nodes
+                .iter()
+                .map(|n| admission.grant_of(n.id).map_or(0.0, |g| g.center.hz()))
+                .collect();
+            return Ok((slots, rates, false, centers));
         }
         // SDM fallback: equal channels + TMA spatial reuse.
         let tma = self
@@ -714,224 +367,33 @@ impl NetworkSim {
                 harmonic: 0,
                 nodes: self.nodes.len(),
             }))?;
-        let capacity = self.cfg.plan.capacity(self.cfg.sdm_channel_width).max(1);
-        let scheduler = SdmScheduler::new(tma);
-        let slots = scheduler
-            .schedule(&self.arrival_angles(), capacity)
+        let width = self.cfg.sdm_channel_width;
+        let capacity = self.cfg.plan.capacity(width).max(1);
+        let aoa: Vec<Degrees> = self
+            .nodes
+            .iter()
+            .map(|n| arrival_angle(&self.ap, n))
+            .collect();
+        let slots = SdmScheduler::new(tma)
+            .schedule(&aoa, capacity)
             .map_err(SimError::Sdm)?;
-        let rate = self.cfg.plan.rate_for(self.cfg.sdm_channel_width);
+        let rate = self.cfg.plan.rate_for(width);
         let rates = self.nodes.iter().map(|n| n.demand.min(rate)).collect();
-        Ok((slots, rates, true))
-    }
-
-    /// Receive power of node `i` at the AP antenna under the current
-    /// blockers.
-    fn rx_power(&self, i: usize, blockers: &[HumanBlocker]) -> (DbmPower, BeamChannel) {
-        let mut paths = Vec::new();
-        self.rx_power_into(i, blockers, &mut paths)
-    }
-
-    /// [`rx_power`](Self::rx_power) with caller-owned ray-trace scratch
-    /// — the `&self`-re-entrant hot-loop entry point: any number of
-    /// gather workers may call it concurrently, each with its own
-    /// context's buffer.
-    fn rx_power_into(
-        &self,
-        i: usize,
-        blockers: &[HumanBlocker],
-        paths: &mut Vec<PropPath>,
-    ) -> (DbmPower, BeamChannel) {
-        let tracer = Tracer::new(
-            &self.room,
-            self.nodes[i].front_end().channel(),
-            self.cfg.path_loss_exponent,
-        )
-        .with_second_order(self.cfg.second_order_reflections);
-        let ch = beam_channel_into(
-            &tracer,
-            self.nodes[i].pose,
-            self.ap.pose,
-            self.nodes[i].beams(),
-            self.ap.element(),
-            blockers,
-            paths,
-        );
-        let mark = ch.gain(ch.stronger_beam());
-        let p = self.nodes[i].front_end().antenna_power() - self.cfg.implementation_loss + mark;
-        (p, ch)
-    }
-
-    /// Precomputes the TMA spatial-gain matrix for one run:
-    /// `spatial[i][j]` is the gain of node `i`'s harmonic toward node
-    /// `j`'s direction. Slots and arrival angles are fixed for the whole
-    /// run, so this turns the O(nodes²) array-factor evaluations the SINR
-    /// loop would otherwise repeat per packet into a one-time cost —
-    /// exact, not interpolated. `None` when the TMA is inactive (pure
-    /// FDM: the AP listens through its dipole, all gains 0 dB).
-    fn spatial_gains(
-        &self,
-        slots: &[SdmSlot],
-        aoa: &[Degrees],
-        tma_active: bool,
-    ) -> Option<Vec<Vec<Db>>> {
-        let tma = self.ap.tma().filter(|_| tma_active)?;
-        Some(
-            slots
-                .iter()
-                .map(|s| {
-                    aoa.iter()
-                        .map(|&az| tma.harmonic_gain(s.harmonic, az))
-                        .collect()
-                })
-                .collect(),
-        )
-    }
-
-    /// SINR of node `i` given everyone's cached receive powers and the
-    /// precomputed spatial-gain matrix from [`Self::spatial_gains`].
-    fn sinr(
-        &self,
-        i: usize,
-        slots: &[SdmSlot],
-        rx: &[DbmPower],
-        spatial: Option<&Vec<Vec<Db>>>,
-        bandwidth: Hertz,
-    ) -> Db {
-        self.sinr_from(i, slots, |j| rx[j], spatial, bandwidth)
-    }
-
-    /// [`sinr`](Self::sinr) over an arbitrary arrival-power accessor,
-    /// summing noise + interference terms straight through
-    /// `power_sum`'s linear accumulator — no per-packet `Vec`. The
-    /// gather phase substitutes the transmitting node's freshly traced
-    /// power into the frozen batch snapshot this way.
-    fn sinr_from<F: Fn(usize) -> DbmPower>(
-        &self,
-        i: usize,
-        slots: &[SdmSlot],
-        rx_of: F,
-        spatial: Option<&Vec<Vec<Db>>>,
-        bandwidth: Hertz,
-    ) -> Db {
-        let noise = thermal_noise_dbm(bandwidth, self.ap.noise_figure());
-        let my_gain = spatial.map(|s| s[i][i]).unwrap_or(Db::ZERO);
-        let wanted = rx_of(i) + my_gain;
-        let interference = (0..self.nodes.len()).filter(|&j| j != i).map(|j| {
-            let gain = spatial.map(|s| s[i][j]).unwrap_or(Db::ZERO);
-            let acl = adjacent_channel_leakage(slots[i].channel.abs_diff(slots[j].channel));
-            rx_of(j) + gain + acl
-        });
-        wanted - DbmPower::power_sum(std::iter::once(noise).chain(interference))
-    }
-
-    /// Builds every node's gather context: private RNG stream and (when
-    /// fading is on) its fading process seeded from that stream — so
-    /// context construction is order-independent across nodes.
-    fn node_ctxs(&self) -> Vec<Option<NodeCtx>> {
-        (0..self.nodes.len())
-            .map(|i| {
-                let mut rng = streams::node_stream(self.cfg.seed, i);
-                let fader = self
-                    .cfg
-                    .fading
-                    .map(|f| FadingProcess::new(Rician::new(Db::new(f.k_db)), f.rho, &mut rng));
-                Some(NodeCtx {
-                    rng,
-                    fader,
-                    paths: Vec::new(),
-                })
-            })
-            .collect()
-    }
-
-    /// The gather phase for one packet: ray trace, fading step, SINR
-    /// against the batch snapshot, BER → PER, and the delivery draw.
-    /// Pure per-node work — reads only frozen per-run plan data and the
-    /// batch's [`BatchShared`]; mutates only the node's own context —
-    /// so any number of these run concurrently and the result is a
-    /// function of the task alone, independent of thread count.
-    fn gather_packet(
-        &self,
-        mut task: PacketTask,
-        slots: &[SdmSlot],
-        rates: &[BitRate],
-        spatial: Option<&Vec<Vec<Db>>>,
-        bandwidth: Hertz,
-        backoff: &[Db],
-    ) -> PacketGather {
-        let i = task.i;
-        let (p, ch) = self.rx_power_into(i, &task.shared.blockers, &mut task.ctx.paths);
-        let (p, ch) = match task.ctx.fader.as_mut() {
-            Some(f) => {
-                let faded = f.step(&ch, &mut task.ctx.rng);
-                let mark = faded.gain(faded.stronger_beam());
-                (
-                    self.nodes[i].front_end().antenna_power() - self.cfg.implementation_loss + mark,
-                    faded,
-                )
-            }
-            None => (p, ch),
-        };
-        let pwr = p - backoff[i] - task.shared.extra_loss;
-        let sep = ch.level_separation();
-        let sh = &task.shared;
-        let sinr = self.sinr_from(
-            i,
-            slots,
-            |j| if j == i { pwr } else { sh.rx[j] },
-            spatial,
-            bandwidth,
-        );
-        // Decision SNR: the channel-band SINR plus the processing gain
-        // of running the symbols slower than the channel width (zero for
-        // a demand-matched channel; positive under rate adaptation).
-        let proc_gain =
-            Db::new(10.0 * (bandwidth.hz() / (1.25 * rates[i].bps())).log10()).max(Db::ZERO);
-        let decision_snr = sinr + proc_gain;
-        // §6.2: in an outage the node drops the ASK bits and keeps only
-        // the (more robust) FSK stream.
-        let ber = if task.fsk {
-            fsk_ber(decision_snr)
-        } else {
-            joint_ber(decision_snr, sep, Db::new(2.0))
-        };
-        let air_bits = self.nodes[i].packet_air_bits();
-        let per = 1.0 - (1.0 - ber).powi(air_bits as i32);
-        let draw = task.ctx.rng.gen::<f64>();
-        let mut stage = ObsStage::new();
-        if task.shared.obs_on {
-            stage.observe("sinr_db", "", sinr.value());
-            if task.shared.obs_margin {
-                stage.observe(
-                    "decision_margin_db",
-                    "",
-                    (decision_snr - self.cfg.decode_threshold).value(),
-                );
-            }
-            stage.observe("ber", "", ber);
-        }
-        PacketGather {
-            i,
-            fsk: task.fsk,
-            ctx: task.ctx,
-            pwr,
-            sep,
-            sinr,
-            decision_snr,
-            per,
-            draw,
-            stage,
-        }
+        let table = self.cfg.plan.channel_table(width);
+        let centers = (0..capacity)
+            .map(|c| table.get(c).map_or(0.0, |a| a.center.hz()))
+            .collect();
+        Ok((slots, rates, true, centers))
     }
 
     /// Runs the simulation.
     ///
-    /// Without faults (`SimConfig::faults = None`) this is the original
-    /// engine: admission happens once, instantly and losslessly, before
-    /// t = 0. With faults it runs the full control plane — join/grant
-    /// over a lossy channel with retransmit backoff, epoch-stamped
-    /// grants, leases with keepalives, churn, blockage bursts and AP
-    /// restarts — and fills [`NetworkReport::recovery`].
+    /// Without faults (`SimConfig::faults = None`) admission happens
+    /// once, instantly and losslessly, before t = 0. With faults the
+    /// control plane runs for real — join/grant over a lossy channel
+    /// with retransmit backoff, epoch-stamped grants, leases with
+    /// keepalives, churn, blockage bursts and AP restarts — and fills
+    /// [`NetworkReport::recovery`].
     pub fn run(&self) -> Result<NetworkReport, SimError> {
         self.run_observed(&mut Recorder::disabled())
     }
@@ -946,1015 +408,131 @@ impl NetworkSim {
     /// trace is a pure function of the scenario — byte-identical across
     /// worker thread counts.
     pub fn run_observed(&self, rec: &mut Recorder) -> Result<NetworkReport, SimError> {
-        match self.cfg.faults.clone() {
-            Some(f) => self.run_faulted(f, rec),
-            None => self.run_static(rec),
-        }
-    }
-
-    /// The fault-free engine (the pre-fault-injection behavior,
-    /// byte-for-byte).
-    fn run_static(&self, rec: &mut Recorder) -> Result<NetworkReport, SimError> {
-        if self.nodes.is_empty() {
-            return Err(SimError::Empty);
-        }
-        let (slots, rates, used_sdm) = self.plan_slots()?;
-        rec.event(0.0, "run", -1, "begin", "", self.nodes.len() as f64);
-        let mut pm = PacketMetrics::new(rec);
-        let aoa = self.arrival_angles();
-        let spatial = self.spatial_gains(&slots, &aoa, used_sdm);
-        let bandwidth = if used_sdm {
-            self.cfg.sdm_channel_width
-        } else {
-            self.cfg.plan.width_for(self.nodes[0].demand)
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.cfg.seed);
-
-        // Mobility state.
-        let mut walkers: Vec<RandomWaypoint> = (0..self.cfg.walkers)
-            .map(|k| {
-                let start = mmx_channel::Vec2::new(
-                    self.room.width() * (0.25 + 0.5 * (k as f64 / self.cfg.walkers.max(1) as f64)),
-                    self.room.depth() * 0.5,
-                );
-                RandomWaypoint::new(&self.room, start, 1.4, 0.3, &mut rng)
-            })
-            .collect();
-        let mut pacer = self.cfg.pacing_blocker.then(|| {
-            LinearWalker::new(
-                mmx_channel::Vec2::new(self.room.width() / 2.0, 0.5),
-                mmx_channel::Vec2::new(self.room.width() / 2.0, self.room.depth() - 0.5),
-                1.0,
-            )
-        });
-        let blockers = |walkers: &[RandomWaypoint], pacer: &Option<LinearWalker>| {
-            let mut b: Vec<HumanBlocker> = walkers
-                .iter()
-                .map(|w| HumanBlocker::typical(w.position()))
-                .collect();
-            if let Some(p) = pacer {
-                b.push(HumanBlocker::typical(p.position()));
-            }
-            b
-        };
-
-        // Initial channel state.
-        let mut cur_blockers = Arc::new(blockers(&walkers, &pacer));
-        let mut rx: Vec<DbmPower> = Vec::with_capacity(self.nodes.len());
-        let mut seps: Vec<Db> = Vec::with_capacity(self.nodes.len());
-        for i in 0..self.nodes.len() {
-            let (p, ch) = self.rx_power(i, &cur_blockers);
-            rx.push(p);
-            seps.push(ch.level_separation());
-        }
-        // Power control (set once at initialization): back strong nodes
-        // off toward the weakest arrival, bounded by max_backoff.
-        let backoff: Vec<Db> = if self.cfg.power_control && self.nodes.len() > 1 {
-            let floor = rx
-                .iter()
-                .cloned()
-                .fold(DbmPower::new(f64::INFINITY), DbmPower::min);
-            rx.iter()
-                .map(|&p| (p - floor).clamp(Db::ZERO, self.cfg.max_backoff))
-                .collect()
-        } else {
-            vec![Db::ZERO; self.nodes.len()]
-        };
-        for i in 0..self.nodes.len() {
-            rx[i] -= backoff[i];
-        }
-        // Rate adaptation (set once at initialization, like the grants):
-        // drop to a slower switch speed when the initial SINR cannot
-        // carry the granted rate at the target BER.
-        let mut rates = rates;
-        if self.cfg.rate_adaptation {
-            let adapter = mmx_phy::rate::RateAdapter::standard();
-            for i in 0..self.nodes.len() {
-                let sinr = self.sinr(i, &slots, &rx, spatial.as_ref(), bandwidth);
-                // Refer the channel-band SINR to the granted symbol band.
-                let ref_gain =
-                    Db::new(10.0 * (bandwidth.hz() / adapter.reference_rate().bps()).log10());
-                if let Some(r) = adapter.select(sinr + ref_gain, seps[i]) {
-                    rates[i] = rates[i].min(r);
-                }
-            }
-        }
-
-        // Stats.
-        let mut sent = vec![0u64; self.nodes.len()];
-        let mut delivered = vec![0u64; self.nodes.len()];
-        let mut sinr_sum = vec![0.0f64; self.nodes.len()];
-        let mut sinr_min = vec![f64::INFINITY; self.nodes.len()];
-        let mut meters: Vec<EnergyMeter> = vec![EnergyMeter::new(); self.nodes.len()];
-        for m in &mut meters {
-            // Join handshake: request + grant.
-            m.record_fixed(2.0 * crate::control::CONTROL_MSG_ENERGY_J);
-        }
-        let mut trace: Vec<PacketSample> = Vec::new();
-        let mut ctxs = self.node_ctxs();
-
-        let mut q = EventQueue::new();
-        q.schedule_at(Seconds::ZERO + self.cfg.step, Event::Step)
-            .expect("first step is ahead of t = 0");
-        for (i, n) in self.nodes.iter().enumerate() {
-            // Stagger starts to avoid artificial phase alignment, and
-            // honor the node's activity window (churn).
-            let offset = n.packet_interval() * (i as f64 / self.nodes.len() as f64);
-            q.schedule_at(n.active_from.max(offset), Event::Packet(i))
-                .expect("first packet is ahead of t = 0");
-        }
-
-        // The gather→commit event loop (DESIGN.md §9). The worker pool
-        // lives for the whole run; the `work` closure borrows only the
-        // frozen per-run plan, so the body keeps exclusive ownership of
-        // every piece of mutable state for the commit phase.
-        let threads = pool::resolve_threads(self.cfg.threads);
-        let spatial_ref = spatial.as_ref();
-        pool::scoped(
-            threads,
-            |task: PacketTask| {
-                self.gather_packet(task, &slots, &rates, spatial_ref, bandwidth, &backoff)
-            },
-            |disp| {
-                let mut batch: Vec<(Seconds, usize, Planned)> = Vec::new();
-                let mut results: Vec<Option<PacketGather>> = Vec::new();
-                while let Some((t, ev)) = q.pop() {
-                    if t > self.cfg.duration {
-                        break;
-                    }
-                    match ev {
-                        Event::Step => {
-                            for w in walkers.iter_mut() {
-                                w.step(&self.room, self.cfg.step.value(), &mut rng);
-                            }
-                            if let Some(p) = pacer.as_mut() {
-                                p.step(self.cfg.step.value());
-                            }
-                            cur_blockers = Arc::new(blockers(&walkers, &pacer));
-                            q.schedule_in(self.cfg.step, Event::Step)
-                                .expect("step period is positive");
-                        }
-                        Event::Packet(first) => {
-                            // -- drain: a lookahead window of packets --
-                            // Keep draining while the next event is a
-                            // packet strictly inside the batch horizon —
-                            // the earliest time any drained packet's
-                            // reschedule could land — so the drained
-                            // prefix matches the serial pop order
-                            // exactly (see `event` module docs).
-                            batch.clear();
-                            let classify = |tb: Seconds, i: usize| {
-                                if self.nodes[i].is_active(tb) {
-                                    Planned::Tx
-                                } else {
-                                    Planned::Inactive
-                                }
-                            };
-                            batch.push((t, first, classify(t, first)));
-                            let mut horizon = t + self.nodes[first].packet_interval();
-                            while batch.len() < MAX_BATCH {
-                                match q.peek() {
-                                    Some((tn, &Event::Packet(_)))
-                                        if tn < horizon && tn <= self.cfg.duration =>
-                                    {
-                                        let Some((tn, Event::Packet(j))) = q.pop() else {
-                                            unreachable!("peeked a packet");
-                                        };
-                                        horizon = horizon.min(tn + self.nodes[j].packet_interval());
-                                        batch.push((tn, j, classify(tn, j)));
-                                    }
-                                    _ => break,
-                                }
-                            }
-                            // -- gather: per-node work, in parallel --
-                            let shared = Arc::new(BatchShared {
-                                blockers: Arc::clone(&cur_blockers),
-                                rx: rx.clone(),
-                                extra_loss: Db::ZERO,
-                                obs_on: pm.on,
-                                obs_margin: false,
-                            });
-                            let tasks: Vec<PacketTask> = batch
-                                .iter()
-                                .filter(|&&(_, _, plan)| plan == Planned::Tx)
-                                .map(|&(_, i, _)| PacketTask {
-                                    i,
-                                    fsk: false,
-                                    ctx: ctxs[i].take().expect("one packet per node per batch"),
-                                    shared: Arc::clone(&shared),
-                                })
-                                .collect();
-                            disp.run(tasks, &mut results);
-                            // -- commit: apply in the drained (serial
-                            // event) order --
-                            let mut slot = 0;
-                            for &(tb, i, plan) in &batch {
-                                if plan == Planned::Inactive {
-                                    // The node has left; silence its
-                                    // interference.
-                                    rx[i] = DbmPower::ZERO_POWER;
-                                    continue;
-                                }
-                                let mut g = results[slot].take().expect("gather result");
-                                slot += 1;
-                                debug_assert_eq!(g.i, i);
-                                rx[i] = g.pwr;
-                                seps[i] = g.sep;
-                                sinr_sum[i] += g.sinr.value();
-                                sinr_min[i] = sinr_min[i].min(g.sinr.value());
-                                sent[i] += 1;
-                                pm.sent += 1;
-                                pm.absorb(&mut g.stage);
-                                let airtime = self.nodes[i].packet_airtime(rates[i]);
-                                meters[i].record_airtime(airtime, self.nodes[i].tx_power_draw());
-                                let ok = g.draw >= g.per;
-                                if ok {
-                                    delivered[i] += 1;
-                                    pm.delivered += 1;
-                                    meters[i]
-                                        .record_delivered(self.nodes[i].payload_bytes as u64 * 8);
-                                }
-                                if self.cfg.record_trace {
-                                    trace.push(PacketSample {
-                                        t: tb,
-                                        node: i,
-                                        sinr_db: g.sinr.value(),
-                                        delivered: ok,
-                                    });
-                                }
-                                ctxs[i] = Some(g.ctx);
-                                q.schedule_at(
-                                    tb + self.nodes[i].packet_interval(),
-                                    Event::Packet(i),
-                                )
-                                .expect("reschedule lands inside the batch horizon");
-                            }
-                        }
-                    }
-                }
-            },
-        );
-
-        pm.flush(rec);
-        rec.event(self.cfg.duration.value(), "run", -1, "end", "", 0.0);
-        let reports = (0..self.nodes.len())
-            .map(|i| NodeReport {
-                id: self.nodes[i].id,
-                sent: sent[i],
-                delivered: delivered[i],
-                mean_sinr_db: if sent[i] > 0 {
-                    sinr_sum[i] / sent[i] as f64
-                } else {
-                    f64::NAN
-                },
-                min_sinr_db: sinr_min[i],
-                per: if sent[i] > 0 {
-                    1.0 - delivered[i] as f64 / sent[i] as f64
-                } else {
-                    0.0
-                },
-                goodput_bps: delivered[i] as f64 * self.nodes[i].payload_bytes as f64 * 8.0
-                    / self.cfg.duration.value(),
-                energy_j: meters[i].joules(),
-                nj_per_bit: meters[i].nj_per_bit(),
-                slot: slots[i],
-            })
-            .collect();
-        Ok(NetworkReport {
-            nodes: reports,
-            used_sdm,
-            duration: self.cfg.duration,
-            trace,
-            recovery: RecoveryReport::default(),
-        })
-    }
-
-    /// The band plan the AP's admission bookkeeping runs over. Under
-    /// FDM it is the real plan; under SDM, spatial reuse means the
-    /// spectral packing is not the binding constraint (the TMA schedule
-    /// from [`plan_slots`](Self::plan_slots) is), so leases and epochs
-    /// are tracked over a virtual plan wide enough for every demand.
-    fn admission_plan(&self, used_sdm: bool) -> BandPlan {
-        if !used_sdm {
-            return self.cfg.plan.clone();
-        }
-        let width: f64 = self
-            .nodes
-            .iter()
-            .map(|n| self.cfg.plan.width_for(n.demand).hz() + 2e6)
-            .sum();
-        let center = self.cfg.plan.band().low + self.cfg.plan.band().bandwidth() / 2.0;
-        BandPlan::new(
-            Band::centered(center, Hertz::new(width * 2.0)),
-            Hertz::from_mhz(1.0),
-        )
-    }
-
-    /// The faulted engine: the same PHY/channel model as
-    /// [`run_static`](Self::run_static), with the control plane run
-    /// for real through a seeded [`FaultInjector`].
-    fn run_faulted(
-        &self,
-        faults: FaultConfig,
-        rec: &mut Recorder,
-    ) -> Result<NetworkReport, SimError> {
         if self.nodes.is_empty() {
             return Err(SimError::Empty);
         }
         let n = self.nodes.len();
-        let (slots, rates, used_sdm) = self.plan_slots()?;
+        let cfg = &self.cfg;
+        let (slots, rates, used_sdm, channel_hz) = self.plan_slots()?;
         rec.event(0.0, "run", -1, "begin", "", n as f64);
-        let mut pm = PacketMetrics::new(rec);
-        let aoa = self.arrival_angles();
-        let spatial = self.spatial_gains(&slots, &aoa, used_sdm);
-        let bandwidth = if used_sdm {
-            self.cfg.sdm_channel_width
-        } else {
-            self.cfg.plan.width_for(self.nodes[0].demand)
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.cfg.seed);
-
-        // Mobility state — identical construction (and RNG draw order)
-        // to the fault-free engine.
-        let mut walkers: Vec<RandomWaypoint> = (0..self.cfg.walkers)
-            .map(|k| {
-                let start = mmx_channel::Vec2::new(
-                    self.room.width() * (0.25 + 0.5 * (k as f64 / self.cfg.walkers.max(1) as f64)),
-                    self.room.depth() * 0.5,
-                );
-                RandomWaypoint::new(&self.room, start, 1.4, 0.3, &mut rng)
-            })
-            .collect();
-        let mut pacer = self.cfg.pacing_blocker.then(|| {
-            LinearWalker::new(
-                mmx_channel::Vec2::new(self.room.width() / 2.0, 0.5),
-                mmx_channel::Vec2::new(self.room.width() / 2.0, self.room.depth() - 0.5),
-                1.0,
-            )
+        let (w, d) = (self.room.width(), self.room.depth());
+        let world = World::new(Scene {
+            room: &self.room,
+            aps: std::slice::from_ref(&self.ap),
+            nodes: &self.nodes,
+            seed: cfg.seed,
+            walkers: cfg.walkers,
+            // §9.2's permanent LoS blocker paces across the room center.
+            pacer: cfg.pacing_blocker.then(|| PacerRoute {
+                from: Vec2::new(w / 2.0, 0.5),
+                to: Vec2::new(w / 2.0, d - 0.5),
+                speed_mps: 1.0,
+            }),
+            path_loss_exponent: cfg.path_loss_exponent,
+            second_order_reflections: cfg.second_order_reflections,
+            implementation_loss: cfg.implementation_loss,
         });
-        let blockers = |walkers: &[RandomWaypoint], pacer: &Option<LinearWalker>| {
-            let mut b: Vec<HumanBlocker> = walkers
-                .iter()
-                .map(|w| HumanBlocker::typical(w.position()))
-                .collect();
-            if let Some(p) = pacer {
-                b.push(HumanBlocker::typical(p.position()));
-            }
-            b
-        };
-
-        // Initialization-phase measurement: per-node arrival power for
-        // power control and rate adaptation, exactly as the fault-free
-        // engine derives them.
-        let mut cur_blockers = Arc::new(blockers(&walkers, &pacer));
-        let mut meas: Vec<DbmPower> = Vec::with_capacity(n);
-        let mut seps: Vec<Db> = Vec::with_capacity(n);
-        for i in 0..n {
-            let (p, ch) = self.rx_power(i, &cur_blockers);
-            meas.push(p);
-            seps.push(ch.level_separation());
-        }
-        let pc_backoff: Vec<Db> = if self.cfg.power_control && n > 1 {
-            let floor = meas
-                .iter()
-                .cloned()
-                .fold(DbmPower::new(f64::INFINITY), DbmPower::min);
-            meas.iter()
-                .map(|&p| (p - floor).clamp(Db::ZERO, self.cfg.max_backoff))
-                .collect()
-        } else {
-            vec![Db::ZERO; n]
-        };
-        for i in 0..n {
-            meas[i] -= pc_backoff[i];
-        }
-        let mut rates = rates;
-        if self.cfg.rate_adaptation {
-            let adapter = mmx_phy::rate::RateAdapter::standard();
-            for i in 0..n {
-                let sinr = self.sinr(i, &slots, &meas, spatial.as_ref(), bandwidth);
-                let ref_gain =
-                    Db::new(10.0 * (bandwidth.hz() / adapter.reference_rate().bps()).log10());
-                if let Some(r) = adapter.select(sinr + ref_gain, seps[i]) {
-                    rates[i] = rates[i].min(r);
-                }
-            }
-        }
-        // Live arrival powers: everyone silent until granted.
-        let mut rx: Vec<DbmPower> = vec![DbmPower::ZERO_POWER; n];
-
-        // Stats.
-        let mut sent = vec![0u64; n];
-        let mut delivered = vec![0u64; n];
-        let mut sinr_sum = vec![0.0f64; n];
-        let mut sinr_min = vec![f64::INFINITY; n];
-        let mut meters: Vec<EnergyMeter> = vec![EnergyMeter::new(); n];
-        let mut trace: Vec<PacketSample> = Vec::new();
-        let mut ctxs = self.node_ctxs();
-
-        // Control plane.
-        let mut inj = FaultInjector::new(faults.clone(), self.cfg.seed);
-        let crashes = inj.crash_schedule(n, self.cfg.duration);
-        let bursts = inj.burst_windows(self.cfg.duration);
-        let mut admission = Admission::new(self.admission_plan(used_sdm));
-        let mut links: Vec<NodeLink> = vec![NodeLink::new(); n];
-        let mut alive = vec![true; n];
-        let mut keepalive_on = vec![false; n];
-        let mut packets_on = vec![false; n];
-        let mut recovery = RecoveryReport::default();
-        let mut join_sum = 0.0f64;
-        let mut rec_sum = 0.0f64;
-        let mut burst_depth = 0u32;
-        // FSM observability cursor: (state, entered-at) per node, so
-        // each transition charges the dwell time to the state just left.
-        let mut fsm_cursor: Vec<(LinkState, f64)> = vec![(LinkState::Idle, 0.0); n];
-        let idx_of = |id: NodeId| self.nodes.iter().position(|m| m.id == id);
-
-        let mut fab = Fabric {
-            q: EventQueue::new(),
-            inj,
-            backoff: Backoff::standard(),
-            control_sent: 0,
-            control_retries: 0,
-        };
-        fab.q
-            .schedule_at(Seconds::ZERO + self.cfg.step, FEvent::Step)
-            .expect("first step is ahead of t = 0");
-        fab.q
-            .schedule_at(
-                Seconds::ZERO + self.cfg.lease.keepalive_interval,
-                FEvent::LeaseCheck,
-            )
-            .expect("first lease scan is ahead of t = 0");
-        for (i, node) in self.nodes.iter().enumerate() {
-            // Stagger the joins over one control RTT so the thundering
-            // herd at t = 0 stays deterministic but not simultaneous.
-            let wake = node.active_from + CONTROL_RTT * (i as f64 / n as f64);
-            fab.q
-                .schedule_at(wake, FEvent::Wake(i))
-                .expect("wake is ahead of t = 0");
-            if let Some(until) = node.active_until {
-                fab.q
-                    .schedule_at(until, FEvent::Depart(i))
-                    .expect("departure is ahead of t = 0");
-            }
-        }
-        for c in &crashes {
-            fab.q
-                .schedule_at(c.at, FEvent::Crash(c.node))
-                .expect("crash is ahead of t = 0");
-            fab.q
-                .schedule_at(c.at + faults.rejoin_delay, FEvent::Rejoin(c.node))
-                .expect("rejoin is ahead of t = 0");
-        }
-        for &(start, end) in &bursts {
-            fab.q
-                .schedule_at(start, FEvent::BurstStart)
-                .expect("burst start is ahead of t = 0");
-            fab.q
-                .schedule_at(end, FEvent::BurstEnd)
-                .expect("burst end is ahead of t = 0");
-        }
-        if let Some(at) = faults.ap_restart_at {
-            fab.q
-                .schedule_at(at, FEvent::ApRestart)
-                .expect("AP restart is ahead of t = 0");
-        }
-
-        // The gather→commit event loop (DESIGN.md §9): identical
-        // batching to the fault-free engine, with the control plane —
-        // all shared state — running entirely in the commit phase.
-        let threads = pool::resolve_threads(self.cfg.threads);
-        let spatial_ref = spatial.as_ref();
-        pool::scoped(
-            threads,
-            |task: PacketTask| {
-                self.gather_packet(task, &slots, &rates, spatial_ref, bandwidth, &pc_backoff)
-            },
-            |disp| {
-                let mut batch: Vec<(Seconds, usize, Planned)> = Vec::new();
-                let mut results: Vec<Option<PacketGather>> = Vec::new();
-                while let Some((t, ev)) = fab.q.pop() {
-                    if t > self.cfg.duration {
-                        break;
-                    }
-                    match ev {
-                        FEvent::Step => {
-                            for w in walkers.iter_mut() {
-                                w.step(&self.room, self.cfg.step.value(), &mut rng);
-                            }
-                            if let Some(p) = pacer.as_mut() {
-                                p.step(self.cfg.step.value());
-                            }
-                            cur_blockers = Arc::new(blockers(&walkers, &pacer));
-                            fab.q
-                                .schedule_in(self.cfg.step, FEvent::Step)
-                                .expect("step period is positive");
-                        }
-                        FEvent::Wake(i) => {
-                            if !self.nodes[i].is_active(t) {
-                                continue;
-                            }
-                            let was = links[i].state();
-                            links[i].start_join(t);
-                            fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            fab.send_join(
-                                t,
-                                i,
-                                &links[i],
-                                self.nodes[i].id,
-                                self.nodes[i].demand.bps(),
-                                &mut meters[i],
-                                rec,
-                            );
-                        }
-                        FEvent::Rejoin(i) => {
-                            // Spurious when the matching crash was skipped
-                            // (node already inactive at crash time).
-                            if !self.nodes[i].is_active(t) || alive[i] {
-                                continue;
-                            }
-                            alive[i] = true;
-                            let was = links[i].state();
-                            links[i].start_join(t);
-                            fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            fab.send_join(
-                                t,
-                                i,
-                                &links[i],
-                                self.nodes[i].id,
-                                self.nodes[i].demand.bps(),
-                                &mut meters[i],
-                                rec,
-                            );
-                        }
-                        FEvent::Depart(i) => {
-                            alive[i] = false;
-                            rx[i] = DbmPower::ZERO_POWER;
-                            let was = links[i].state();
-                            links[i].on_crash();
-                            fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            rec.event(t.value(), "fault", i as i64, "depart", "", 0.0);
-                            meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
-                            fab.send(
-                                t,
-                                FEvent::ToAp(ControlMsg::Leave {
-                                    node: self.nodes[i].id,
-                                }),
-                                rec,
-                            );
-                        }
-                        FEvent::Crash(i) => {
-                            if !alive[i] || !self.nodes[i].is_active(t) {
-                                continue;
-                            }
-                            alive[i] = false;
-                            rx[i] = DbmPower::ZERO_POWER;
-                            let was = links[i].state();
-                            links[i].on_crash();
-                            fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                            rec.event(t.value(), "fault", i as i64, "crash", "", 0.0);
-                            rec.inc("faults", "crash");
-                            recovery.crashes += 1;
-                        }
-                        FEvent::RetryJoin(i, attempt) => {
-                            if !alive[i] {
-                                continue;
-                            }
-                            if links[i].retry_join(attempt) == LinkAction::SendJoin {
-                                fab.send_join(
-                                    t,
-                                    i,
-                                    &links[i],
-                                    self.nodes[i].id,
-                                    self.nodes[i].demand.bps(),
-                                    &mut meters[i],
-                                    rec,
-                                );
-                            }
-                        }
-                        FEvent::KeepaliveTick(i) => {
-                            if !alive[i] || !links[i].is_streaming() {
-                                keepalive_on[i] = false;
-                                continue;
-                            }
-                            meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
-                            fab.send(
-                                t,
-                                FEvent::ToAp(ControlMsg::Keepalive {
-                                    node: self.nodes[i].id,
-                                }),
-                                rec,
-                            );
-                            fab.q
-                                .schedule_in(
-                                    self.cfg.lease.keepalive_interval,
-                                    FEvent::KeepaliveTick(i),
-                                )
-                                .expect("keepalive interval is positive");
-                        }
-                        FEvent::LeaseCheck => {
-                            for id in admission.expire_stale(t, self.cfg.lease.duration) {
-                                rec.event(t.value(), "lease", id as i64, "expired", "", 0.0);
-                                rec.inc("leases_expired", "");
-                                // The node may still believe it is granted (all
-                                // its keepalives were lost): tell it to rejoin.
-                                if let Some(i) = idx_of(id) {
-                                    if alive[i] && links[i].is_streaming() {
-                                        fab.send(
-                                            t,
-                                            FEvent::ToNode(i, ControlMsg::Reject { node: id }),
-                                            rec,
-                                        );
-                                    }
-                                }
-                            }
-                            fab.q
-                                .schedule_in(self.cfg.lease.keepalive_interval, FEvent::LeaseCheck)
-                                .expect("lease scan interval is positive");
-                        }
-                        FEvent::ApRestart => {
-                            rec.event(t.value(), "fault", -1, "ap_restart", "", 0.0);
-                            rec.inc("faults", "ap_restart");
-                            admission.restart();
-                        }
-                        FEvent::BurstStart => {
-                            if burst_depth == 0 {
-                                rec.span_begin(t.value(), "burst", -1);
-                            }
-                            burst_depth += 1;
-                        }
-                        FEvent::BurstEnd => {
-                            burst_depth = burst_depth.saturating_sub(1);
-                            if burst_depth == 0 {
-                                rec.span_end(t.value(), "burst", -1);
-                            }
-                        }
-                        FEvent::ToAp(msg) => match msg {
-                            ControlMsg::JoinRequest { node, demand_bps } => {
-                                match admission.join_at(node, BitRate::new(demand_bps), t) {
-                                    Ok(grants) => {
-                                        for g in grants {
-                                            if let ControlMsg::Grant { node: gid, .. } = &g {
-                                                if let Some(i) = idx_of(*gid) {
-                                                    fab.send(t, FEvent::ToNode(i, g.clone()), rec);
-                                                }
-                                            }
-                                        }
-                                    }
-                                    Err(_) => {
-                                        if let Some(i) = idx_of(node) {
-                                            fab.send(
-                                                t,
-                                                FEvent::ToNode(i, ControlMsg::Reject { node }),
-                                                rec,
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                            ControlMsg::GrantAck { node, epoch } => admission.ack(node, epoch),
-                            ControlMsg::Keepalive { node } => {
-                                if !admission.refresh(node, t) {
-                                    if let Some(i) = idx_of(node) {
-                                        fab.send(
-                                            t,
-                                            FEvent::ToNode(i, ControlMsg::Reject { node }),
-                                            rec,
-                                        );
-                                    }
-                                }
-                            }
-                            ControlMsg::Leave { node } => admission.leave(node),
-                            ControlMsg::Grant { .. } | ControlMsg::Reject { .. } => {}
+        let out = world
+            .run(
+                Plan {
+                    // Pure FDM listens through the dipole: all gains 0 dB.
+                    listen: vec![self.ap.tma().filter(|_| used_sdm)],
+                    channels_of: vec![(0..channel_hz.len()).collect()],
+                    channel_hz,
+                    serving: vec![ApId(0); n],
+                    admitted: vec![true; n],
+                    slots: slots.clone(),
+                    rates,
+                    // One AP: no neighbour to roam to.
+                    reach: vec![Vec::new(); n],
+                    bandwidth: if used_sdm {
+                        cfg.sdm_channel_width
+                    } else {
+                        cfg.plan.width_for(self.nodes[0].demand)
+                    },
+                    duration: cfg.duration,
+                    step: cfg.step,
+                    fading: cfg.fading,
+                    threads: cfg.threads,
+                    record_trace: cfg.record_trace,
+                    decode_threshold: cfg.decode_threshold,
+                    power_control: cfg.power_control.then_some(cfg.max_backoff),
+                    rate_adaptation: cfg.rate_adaptation,
+                    control: match cfg.faults {
+                        Some(_) => Control::Handshake {
+                            lease: cfg.lease,
+                            outage_window: cfg.outage_window,
                         },
-                        FEvent::ToNode(i, msg) => {
-                            if !alive[i] {
-                                continue; // delivered to a crashed radio
-                            }
-                            match msg {
-                                ControlMsg::Grant {
-                                    epoch, center_hz, ..
-                                } => {
-                                    let was = links[i].state();
-                                    let (act, healed) = links[i].on_grant(epoch, center_hz, t);
-                                    fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                                    if act == LinkAction::AckGrant {
-                                        meters[i].record_fixed(CONTROL_MSG_ENERGY_J);
-                                        fab.send(
-                                            t,
-                                            FEvent::ToAp(ControlMsg::GrantAck {
-                                                node: self.nodes[i].id,
-                                                epoch,
-                                            }),
-                                            rec,
-                                        );
-                                        if !keepalive_on[i] {
-                                            keepalive_on[i] = true;
-                                            fab.q
-                                                .schedule_in(
-                                                    self.cfg.lease.keepalive_interval,
-                                                    FEvent::KeepaliveTick(i),
-                                                )
-                                                .expect("keepalive interval is positive");
-                                        }
-                                        if !packets_on[i] {
-                                            packets_on[i] = true;
-                                            let offset = self.nodes[i].packet_interval()
-                                                * (i as f64 / n as f64);
-                                            fab.q
-                                                .schedule_at(t + offset, FEvent::Packet(i))
-                                                .expect("first packet is ahead");
-                                        }
-                                    }
-                                    if let Some(d) = healed {
-                                        match was {
-                                            LinkState::Joining => {
-                                                recovery.joins += 1;
-                                                join_sum += d.value();
-                                                rec.event(
-                                                    t.value(),
-                                                    "recover",
-                                                    i as i64,
-                                                    "join",
-                                                    "",
-                                                    d.value(),
-                                                );
-                                                rec.observe("join_s", "", d.value());
-                                            }
-                                            _ => {
-                                                recovery.recoveries += 1;
-                                                rec_sum += d.value();
-                                                recovery.max_recovery_s =
-                                                    recovery.max_recovery_s.max(d.value());
-                                                rec.event(
-                                                    t.value(),
-                                                    "recover",
-                                                    i as i64,
-                                                    "rejoin",
-                                                    "",
-                                                    d.value(),
-                                                );
-                                                rec.observe("recovery_s", "", d.value());
-                                            }
-                                        }
-                                    }
-                                }
-                                ControlMsg::Reject { .. } => {
-                                    let was = links[i].state();
-                                    let act = links[i].on_reject(t);
-                                    fsm_note(rec, &mut fsm_cursor, t, i, was, links[i].state());
-                                    if act == LinkAction::SendJoin {
-                                        fab.send_join(
-                                            t,
-                                            i,
-                                            &links[i],
-                                            self.nodes[i].id,
-                                            self.nodes[i].demand.bps(),
-                                            &mut meters[i],
-                                            rec,
-                                        );
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        FEvent::Packet(first) => {
-                            // -- drain: a lookahead window of packets (see the
-                            // fault-free engine; identical batching rule) --
-                            batch.clear();
-                            let classify = |tb: Seconds, i: usize| {
-                                if !self.nodes[i].is_active(tb) {
-                                    Planned::Inactive
-                                } else if !alive[i] || !links[i].is_streaming() {
-                                    Planned::Churn
-                                } else {
-                                    Planned::Tx
-                                }
-                            };
-                            batch.push((t, first, classify(t, first)));
-                            let mut horizon = t + self.nodes[first].packet_interval();
-                            while batch.len() < MAX_BATCH {
-                                match fab.q.peek() {
-                                    Some((tn, &FEvent::Packet(_)))
-                                        if tn < horizon && tn <= self.cfg.duration =>
-                                    {
-                                        let Some((tn, FEvent::Packet(j))) = fab.q.pop() else {
-                                            unreachable!("peeked a packet");
-                                        };
-                                        horizon = horizon.min(tn + self.nodes[j].packet_interval());
-                                        batch.push((tn, j, classify(tn, j)));
-                                    }
-                                    _ => break,
-                                }
-                            }
-                            // -- gather: per-node work, in parallel --
-                            let shared = Arc::new(BatchShared {
-                                blockers: Arc::clone(&cur_blockers),
-                                rx: rx.clone(),
-                                extra_loss: if burst_depth > 0 {
-                                    faults.burst_loss
-                                } else {
-                                    Db::ZERO
-                                },
-                                obs_on: pm.on,
-                                obs_margin: true,
-                            });
-                            let tasks: Vec<PacketTask> = batch
-                                .iter()
-                                .filter(|&&(_, _, plan)| plan == Planned::Tx)
-                                .map(|&(_, i, _)| PacketTask {
-                                    i,
-                                    fsk: links[i].state() == LinkState::Outage,
-                                    ctx: ctxs[i].take().expect("one packet per node per batch"),
-                                    shared: Arc::clone(&shared),
-                                })
-                                .collect();
-                            disp.run(tasks, &mut results);
-                            // -- commit: control plane, stats, obs and
-                            // rescheduling in the drained (serial event) order --
-                            let mut slot = 0;
-                            for &(tb, i, plan) in &batch {
-                                match plan {
-                                    Planned::Inactive => {
-                                        rx[i] = DbmPower::ZERO_POWER;
-                                        packets_on[i] = false;
-                                        continue;
-                                    }
-                                    Planned::Churn => {
-                                        // The application clock keeps ticking
-                                        // while the radio is down or waiting on
-                                        // re-admission.
-                                        rx[i] = DbmPower::ZERO_POWER;
-                                        recovery.packets_lost_to_churn += 1;
-                                        pm.lost_to_churn += 1;
-                                        fab.q
-                                            .schedule_at(
-                                                tb + self.nodes[i].packet_interval(),
-                                                FEvent::Packet(i),
-                                            )
-                                            .expect("reschedule lands inside the batch horizon");
-                                        continue;
-                                    }
-                                    Planned::Tx => {}
-                                }
-                                let mut g = results[slot].take().expect("gather result");
-                                slot += 1;
-                                debug_assert_eq!(g.i, i);
-                                rx[i] = g.pwr;
-                                seps[i] = g.sep;
-                                sinr_sum[i] += g.sinr.value();
-                                sinr_min[i] = sinr_min[i].min(g.sinr.value());
-                                sent[i] += 1;
-
-                                let decodable = g.decision_snr >= self.cfg.decode_threshold;
-                                let was = links[i].state();
-                                let (act, healed) =
-                                    links[i].on_packet_sinr(decodable, self.cfg.outage_window, tb);
-                                fsm_note(rec, &mut fsm_cursor, tb, i, was, links[i].state());
-                                if act == LinkAction::SendJoin {
-                                    // Outage declared: FSK fallback +
-                                    // re-admission.
-                                    recovery.outages += 1;
-                                    rec.event(tb.value(), "recover", i as i64, "outage", "", 0.0);
-                                    fab.send_join(
-                                        tb,
-                                        i,
-                                        &links[i],
-                                        self.nodes[i].id,
-                                        self.nodes[i].demand.bps(),
-                                        &mut meters[i],
-                                        rec,
-                                    );
-                                }
-                                if let Some(d) = healed {
-                                    recovery.recoveries += 1;
-                                    rec_sum += d.value();
-                                    recovery.max_recovery_s =
-                                        recovery.max_recovery_s.max(d.value());
-                                    rec.event(
-                                        tb.value(),
-                                        "recover",
-                                        i as i64,
-                                        "rejoin",
-                                        "",
-                                        d.value(),
-                                    );
-                                    rec.observe("recovery_s", "", d.value());
-                                }
-                                if g.fsk {
-                                    pm.fsk_fallback += 1;
-                                }
-                                pm.sent += 1;
-                                pm.absorb(&mut g.stage);
-                                let airtime = self.nodes[i].packet_airtime(rates[i]);
-                                meters[i].record_airtime(airtime, self.nodes[i].tx_power_draw());
-                                let ok = g.draw >= g.per;
-                                if ok {
-                                    delivered[i] += 1;
-                                    pm.delivered += 1;
-                                    meters[i]
-                                        .record_delivered(self.nodes[i].payload_bytes as u64 * 8);
-                                    // The data plane is proof of liveness: a
-                                    // decoded packet refreshes the lease like a
-                                    // keepalive, so a streaming node can't lose
-                                    // its spectrum to an unlucky run of lost
-                                    // keepalives. Keepalives still carry nodes
-                                    // through idle gaps longer than the lease.
-                                    admission.refresh(self.nodes[i].id, tb);
-                                }
-                                if self.cfg.record_trace {
-                                    trace.push(PacketSample {
-                                        t: tb,
-                                        node: i,
-                                        sinr_db: g.sinr.value(),
-                                        delivered: ok,
-                                    });
-                                }
-                                ctxs[i] = Some(g.ctx);
-                                fab.q
-                                    .schedule_at(
-                                        tb + self.nodes[i].packet_interval(),
-                                        FEvent::Packet(i),
-                                    )
-                                    .expect("reschedule lands inside the batch horizon");
-                            }
-                        }
-                    }
-                }
-            },
-        );
-
-        // Close out the FSM dwell accounting at the horizon and stamp
-        // the run end.
-        pm.flush(rec);
-        if rec.is_enabled() {
-            for &(state, since) in &fsm_cursor {
-                rec.gauge_add(
-                    "fsm_time_in_state_s",
-                    state_name(state),
-                    (self.cfg.duration.value() - since).max(0.0),
-                );
-            }
-        }
-        rec.event(self.cfg.duration.value(), "run", -1, "end", "", 0.0);
-
-        let stats = fab.inj.stats();
-        recovery.control_sent = fab.control_sent;
-        recovery.control_lost = stats.control_lost;
-        recovery.control_retries = fab.control_retries;
-        recovery.stale_grants_discarded = links.iter().map(NodeLink::stale_discarded).sum();
-        recovery.reclaimed_leases = admission.reclaimed_leases();
-        recovery.mean_join_s = if recovery.joins > 0 {
-            join_sum / recovery.joins as f64
-        } else {
-            0.0
-        };
-        recovery.mean_recovery_s = if recovery.recoveries > 0 {
-            rec_sum / recovery.recoveries as f64
-        } else {
-            0.0
-        };
-        recovery.granted_at_end = links
-            .iter()
-            .filter(|l| l.state() == LinkState::Granted)
-            .count();
-        recovery.streaming_at_end = links.iter().filter(|l| l.is_streaming()).count();
-        recovery.alive_at_end = (0..n)
-            .filter(|&i| alive[i] && self.nodes[i].is_active(self.cfg.duration))
-            .count();
-
-        let reports = (0..n)
+                        None => Control::Instant,
+                    },
+                    faults: cfg.faults.clone().unwrap_or_else(FaultConfig::none),
+                    // Under SDM the TMA schedule, not spectral packing,
+                    // binds: leases and epochs run over a virtual plan.
+                    admission_plan: if used_sdm {
+                        wide_admission_plan(&cfg.plan, &self.nodes)
+                    } else {
+                        cfg.plan.clone()
+                    },
+                    handoff_hysteresis: Db::ZERO,
+                    handoff_window: 0,
+                    max_transfer_retries: 0,
+                    packet_metrics: true,
+                    trace_assoc: false,
+                },
+                rec,
+            )
+            .map_err(SimError::Admission)?;
+        rec.event(cfg.duration.value(), "run", -1, "end", "", 0.0);
+        let nodes = (0..n)
             .map(|i| NodeReport {
                 id: self.nodes[i].id,
-                sent: sent[i],
-                delivered: delivered[i],
-                mean_sinr_db: if sent[i] > 0 {
-                    sinr_sum[i] / sent[i] as f64
-                } else {
-                    f64::NAN
-                },
-                min_sinr_db: sinr_min[i],
-                per: if sent[i] > 0 {
-                    1.0 - delivered[i] as f64 / sent[i] as f64
-                } else {
-                    0.0
-                },
-                goodput_bps: delivered[i] as f64 * self.nodes[i].payload_bytes as f64 * 8.0
-                    / self.cfg.duration.value(),
-                energy_j: meters[i].joules(),
-                nj_per_bit: meters[i].nj_per_bit(),
+                sent: out.sent[i],
+                delivered: out.delivered[i],
+                mean_sinr_db: out.mean_sinr_db(i).unwrap_or(f64::NAN),
+                min_sinr_db: out.sinr_min[i],
+                per: out.per(i),
+                goodput_bps: out.goodput_bps(i, &self.nodes[i], cfg.duration),
+                energy_j: out.meters[i].joules(),
+                nj_per_bit: out.meters[i].nj_per_bit(),
                 slot: slots[i],
             })
             .collect();
         Ok(NetworkReport {
-            nodes: reports,
+            nodes,
             used_sdm,
-            duration: self.cfg.duration,
-            trace,
-            recovery,
+            duration: cfg.duration,
+            trace: out
+                .trace
+                .iter()
+                .map(|s| PacketSample {
+                    t: s.t,
+                    node: s.node,
+                    sinr_db: s.sinr_db,
+                    delivered: s.delivered,
+                })
+                .collect(),
+            recovery: if cfg.faults.is_some() {
+                out.recovery
+            } else {
+                RecoveryReport::default()
+            },
         })
     }
+}
+
+/// A virtual admission band wide enough for every node's demand: under
+/// SDM the TMA schedule, not spectral packing, is the binding constraint,
+/// so admission only tracks leases and epochs.
+pub(crate) fn wide_admission_plan(plan: &BandPlan, nodes: &[NodeStation]) -> BandPlan {
+    let width: f64 = nodes
+        .iter()
+        .map(|n| plan.width_for(n.demand).hz() + 2e6)
+        .sum();
+    let center = plan.band().low + plan.band().bandwidth() / 2.0;
+    BandPlan::new(
+        Band::centered(center, Hertz::new(width * 2.0)),
+        Hertz::from_mhz(1.0),
+    )
 }
 
 /// Runs a batch of independent scenarios across worker threads.
@@ -1965,16 +543,7 @@ impl NetworkSim {
 /// Thread count comes from the `MMX_THREADS` environment variable when
 /// set, otherwise the machine's available parallelism.
 pub fn run_batch(sims: &[NetworkSim]) -> Vec<Result<NetworkReport, SimError>> {
-    let threads = std::env::var("MMX_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    run_batch_with_threads(sims, threads)
+    run_batch_with_threads(sims, crate::pool::resolve_threads(0))
 }
 
 /// [`run_batch`] with an explicit worker count — the determinism
@@ -1984,28 +553,7 @@ pub fn run_batch_with_threads(
     sims: &[NetworkSim],
     threads: usize,
 ) -> Vec<Result<NetworkReport, SimError>> {
-    let threads = threads.max(1).min(sims.len().max(1));
-    if threads <= 1 || sims.len() <= 1 {
-        return sims.iter().map(NetworkSim::run).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<Result<NetworkReport, SimError>>>> =
-        sims.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= sims.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(sims[i].run());
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every scenario ran"))
-        .collect()
+    fan_out(sims, threads, NetworkSim::run)
 }
 
 /// [`run_batch_with_threads`] with observability: each scenario runs
@@ -2018,18 +566,27 @@ pub fn run_batch_observed_with_threads(
     sims: &[NetworkSim],
     threads: usize,
 ) -> Vec<(Result<NetworkReport, SimError>, Recorder)> {
-    let run_one = |sim: &NetworkSim| {
+    fan_out(sims, threads, |sim| {
         let mut rec = Recorder::enabled();
         let report = sim.run_observed(&mut rec);
         (report, rec)
-    };
+    })
+}
+
+/// Maps `run` over `sims` on up to `threads` work-stealing threads;
+/// result `i` is `run(&sims[i])` whatever thread computed it.
+fn fan_out<R: Send>(
+    sims: &[NetworkSim],
+    threads: usize,
+    run: impl Fn(&NetworkSim) -> R + Sync,
+) -> Vec<R> {
     let threads = threads.max(1).min(sims.len().max(1));
-    if threads <= 1 || sims.len() <= 1 {
-        return sims.iter().map(run_one).collect();
+    if threads <= 1 {
+        return sims.iter().map(run).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
-    type Slot = parking_lot::Mutex<Option<(Result<NetworkReport, SimError>, Recorder)>>;
-    let slots: Vec<Slot> = sims.iter().map(|_| parking_lot::Mutex::new(None)).collect();
+    let slots: Vec<parking_lot::Mutex<Option<R>>> =
+        sims.iter().map(|_| parking_lot::Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -2037,7 +594,7 @@ pub fn run_batch_observed_with_threads(
                 if i >= sims.len() {
                     break;
                 }
-                *slots[i].lock() = Some(run_one(&sims[i]));
+                *slots[i].lock() = Some(run(&sims[i]));
             });
         }
     });
