@@ -20,14 +20,12 @@
 //! agree.
 
 use crate::element::Element;
-use crate::pattern::SampledPattern;
 use mmx_dsp::{Complex, IqBuffer};
 use mmx_units::{Db, Degrees, Hertz};
 
 /// Anything that can report the gain of TMA harmonic `m` toward an
-/// azimuth: the analytic [`Tma`] or the precomputed [`TmaGainLut`].
-/// Interference engines take `&impl HarmonicGain` so callers choose the
-/// exact/fast trade-off.
+/// azimuth, such as the analytic [`Tma`]. The public interference sum
+/// takes `&impl HarmonicGain`, so a caller may substitute its own model.
 pub trait HarmonicGain {
     /// Power gain of harmonic `m` toward `az`.
     fn harmonic_gain(&self, m: i32, az: Degrees) -> Db;
@@ -41,6 +39,9 @@ pub struct Tma {
     freq: Hertz,
     switch_freq: Hertz,
     element: Element,
+    /// `aₘₙ` for every `m` in [`Tma::harmonics`] and every element,
+    /// row-major by harmonic: `coeffs[(m + N/2)·N + n]`.
+    coeffs: Vec<Complex>,
 }
 
 impl Tma {
@@ -49,13 +50,21 @@ impl Tma {
     pub fn new(n: usize, freq: Hertz, switch_freq: Hertz) -> Self {
         assert!(n >= 2, "TMA needs at least 2 elements");
         assert!(switch_freq.hz() > 0.0, "switch frequency must be positive");
-        Tma {
+        let mut tma = Tma {
             n,
             spacing_m: freq.wavelength_m() / 2.0,
             freq,
             switch_freq,
             element: Element::ApDipole,
-        }
+            coeffs: Vec::new(),
+        };
+        tma.coeffs = tma
+            .harmonics()
+            .into_iter()
+            .flat_map(|m| (0..n).map(move |elem| (m, elem)))
+            .map(|(m, elem)| tma.fourier_coeff(m, elem))
+            .collect();
+        tma
     }
 
     /// Number of elements.
@@ -97,15 +106,31 @@ impl Tma {
         Complex::from_polar(duty * sinc, phase)
     }
 
+    /// `aₘₙ` from the table built in [`Tma::new`], or computed for a
+    /// harmonic outside [`Tma::harmonics`].
+    fn coeff(&self, m: i32, elem: usize) -> Complex {
+        let half = self.n as i32 / 2;
+        if (-half..half).contains(&m) {
+            self.coeffs[(m + half) as usize * self.n + elem]
+        } else {
+            self.fourier_coeff(m, elem)
+        }
+    }
+
+    /// Spatial phasors `e^(j·k·n·d·sin θ)` of every element toward `az`.
+    fn phasors(&self, az: Degrees) -> impl Iterator<Item = Complex> + '_ {
+        let k = 2.0 * std::f64::consts::PI / self.freq.wavelength_m();
+        let s = az.to_radians().sin();
+        (0..self.n).map(move |elem| Complex::cis(k * elem as f64 * self.spacing_m * s))
+    }
+
     /// Complex response of harmonic `m` toward azimuth `az` (the inner sum
     /// of Eq. 4, times the element pattern).
     pub fn harmonic_response(&self, m: i32, az: Degrees) -> Complex {
-        let k = 2.0 * std::f64::consts::PI / self.freq.wavelength_m();
-        let s = az.to_radians().sin();
-        let sum: Complex = (0..self.n)
-            .map(|elem| {
-                self.fourier_coeff(m, elem) * Complex::cis(k * elem as f64 * self.spacing_m * s)
-            })
+        let sum: Complex = self
+            .phasors(az)
+            .enumerate()
+            .map(|(elem, p)| self.coeff(m, elem) * p)
             .sum();
         sum.scale(self.element.amplitude(az))
     }
@@ -114,6 +139,24 @@ impl Tma {
     /// isotropic element receiving continuously.
     pub fn harmonic_gain(&self, m: i32, az: Degrees) -> Db {
         Db::from_linear(self.harmonic_response(m, az).norm_sq())
+    }
+
+    /// Linear power gain of every harmonic in [`Tma::harmonics`] order
+    /// toward `az`. The element phasors and the element amplitude are
+    /// computed once and shared by all harmonics; each harmonic sums the
+    /// same products in the same order as [`Tma::harmonic_response`], so
+    /// entry `k` is bit-identical to `harmonic_gain(harmonics()[k], az)`
+    /// in linear form.
+    pub fn harmonic_power_gains(&self, az: Degrees) -> Vec<f64> {
+        let phasors: Vec<Complex> = self.phasors(az).collect();
+        let amp = self.element.amplitude(az);
+        self.coeffs
+            .chunks_exact(self.n)
+            .map(|row| {
+                let sum: Complex = row.iter().zip(&phasors).map(|(&a, &p)| a * p).sum();
+                sum.scale(amp).norm_sq()
+            })
+            .collect()
     }
 
     /// The azimuth at which harmonic `m` has its principal beam, when one
@@ -125,21 +168,6 @@ impl Tma {
         } else {
             None
         }
-    }
-
-    /// Precomputes an interpolated gain lookup table for every harmonic,
-    /// sampled every `step_deg` degrees. The sim's SINR inner loops call
-    /// [`HarmonicGain::harmonic_gain`] O(nodes²) times per packet; the
-    /// LUT answers each in O(1) instead of re-evaluating the `N`-element
-    /// array factor.
-    pub fn gain_lut(&self, step_deg: f64) -> TmaGainLut {
-        let half = self.n as i32 / 2;
-        let patterns = self
-            .harmonics()
-            .into_iter()
-            .map(|m| SampledPattern::sample(step_deg, |az| self.harmonic_gain(m, az)))
-            .collect();
-        TmaGainLut { patterns, half }
     }
 
     /// Assigns each arrival direction the harmonic whose beam is nearest —
@@ -193,13 +221,9 @@ impl Tma {
             "sample rate must be an integer multiple of N·fp (got {samples_per_slot} samples/slot)"
         );
         let slot = samples_per_slot.round() as usize;
-        let k = 2.0 * std::f64::consts::PI / self.freq.wavelength_m();
-        let s = az.to_radians().sin();
         let elem_amp = self.element.amplitude(az);
         // Per-element spatial phase.
-        let spatial: Vec<Complex> = (0..self.n)
-            .map(|e| Complex::cis(k * e as f64 * self.spacing_m * s).scale(elem_amp))
-            .collect();
+        let spatial: Vec<Complex> = self.phasors(az).map(|p| p.scale(elem_amp)).collect();
         let mut out = IqBuffer::empty(fs);
         for (i, &x) in signal.samples().iter().enumerate() {
             // Which element is on during this sample?
@@ -213,28 +237,6 @@ impl Tma {
 impl HarmonicGain for Tma {
     fn harmonic_gain(&self, m: i32, az: Degrees) -> Db {
         Tma::harmonic_gain(self, m, az)
-    }
-}
-
-/// Interpolated per-harmonic gain tables built by [`Tma::gain_lut`].
-#[derive(Debug, Clone)]
-pub struct TmaGainLut {
-    /// One pattern per harmonic, indexed by `m + half`.
-    patterns: Vec<SampledPattern>,
-    half: i32,
-}
-
-impl TmaGainLut {
-    /// The harmonic indices the table covers (`m ∈ [-N/2, N/2)`).
-    pub fn harmonics(&self) -> Vec<i32> {
-        (-self.half..self.half).collect()
-    }
-}
-
-impl HarmonicGain for TmaGainLut {
-    fn harmonic_gain(&self, m: i32, az: Degrees) -> Db {
-        let idx = (m + self.half) as usize;
-        self.patterns[idx].gain(az)
     }
 }
 
@@ -407,21 +409,32 @@ mod tests {
     }
 
     #[test]
-    fn gain_lut_tracks_analytic_gain() {
-        let t = tma8();
-        let lut = t.gain_lut(0.25);
-        assert_eq!(lut.harmonics(), t.harmonics());
-        for m in t.harmonics() {
-            for d in -600..600 {
-                let az = Degrees::new(d as f64 / 10.0 + 0.013); // off-grid
-                let exact = Tma::harmonic_gain(&t, m, az).value();
-                let fast = HarmonicGain::harmonic_gain(&lut, m, az).value();
-                // Deep nulls interpolate poorly in dB but are negligible
-                // either way; elsewhere the LUT must track closely.
-                if exact > -20.0 {
-                    assert!(
-                        (exact - fast).abs() < 0.5,
-                        "m={m} az={az}: exact {exact} vs lut {fast}"
+    fn power_gain_row_is_bit_identical_to_harmonic_gain() {
+        for n in [2, 8, 16, 32] {
+            let t = Tma::new(n, Hertz::from_ghz(24.0), Hertz::from_mhz(1.0));
+            // Irregular steps over the field of view, every on-grid beam
+            // direction (where the other harmonics sit in DFT nulls) and
+            // both endfire edges.
+            let mut azimuths: Vec<Degrees> = std::iter::successors(Some(-90.0), |&d| {
+                let next = d + 0.37 + 1.9 * (d * 0.13f64).sin().abs();
+                (next <= 90.0).then_some(next)
+            })
+            .map(Degrees::new)
+            .collect();
+            azimuths.extend(
+                t.harmonics()
+                    .into_iter()
+                    .filter_map(|m| t.harmonic_direction(m)),
+            );
+            azimuths.extend([Degrees::new(-90.0), Degrees::new(90.0)]);
+            for az in azimuths {
+                let row = t.harmonic_power_gains(az);
+                assert_eq!(row.len(), n);
+                for (&m, &g) in t.harmonics().iter().zip(&row) {
+                    assert_eq!(
+                        Db::from_linear(g).value().to_bits(),
+                        t.harmonic_gain(m, az).value().to_bits(),
+                        "n={n} m={m} az={az}"
                     );
                 }
             }
@@ -429,15 +442,20 @@ mod tests {
     }
 
     #[test]
-    fn gain_lut_is_exact_on_grid() {
+    fn out_of_range_harmonic_uses_the_analytic_coefficients() {
         let t = tma8();
-        let lut = t.gain_lut(0.5);
-        for d in [-180.0, -30.0, 0.0, 14.5, 90.0] {
-            let az = Degrees::new(d);
-            let exact = Tma::harmonic_gain(&t, 1, az).value();
-            let fast = HarmonicGain::harmonic_gain(&lut, 1, az).value();
-            assert!((exact - fast).abs() < 1e-9, "az={az}");
-        }
+        let az = Degrees::new(11.0);
+        let direct: Complex = (0..8)
+            .map(|e| {
+                let k = 2.0 * std::f64::consts::PI / Hertz::from_ghz(24.0).wavelength_m();
+                let d = Hertz::from_ghz(24.0).wavelength_m() / 2.0;
+                t.fourier_coeff(5, e) * Complex::cis(k * e as f64 * d * az.to_radians().sin())
+            })
+            .sum();
+        let expect = direct.scale(Element::ApDipole.amplitude(az));
+        let got = t.harmonic_response(5, az);
+        close(got.re, expect.re, 1e-15);
+        close(got.im, expect.im, 1e-15);
     }
 
     #[test]

@@ -283,10 +283,10 @@ impl<'a> World<'a> {
         let gains: Vec<GainTable> = (0..na)
             .map(|a| GainTable::new(plan.listen[a], &scene.aps[a], scene.nodes))
             .collect();
-        let noise: Vec<DbmPower> = scene
+        let noise_mw: Vec<f64> = scene
             .aps
             .iter()
-            .map(|ap| thermal_noise_dbm(plan.bandwidth, ap.noise_figure()))
+            .map(|ap| thermal_noise_dbm(plan.bandwidth, ap.noise_figure()).milliwatts())
             .collect();
         let home = |i: usize| plan.serving[i].index();
 
@@ -303,17 +303,23 @@ impl<'a> World<'a> {
             }
             _ => vec![Db::ZERO; n],
         };
-        // Arrivals as the initialization phase measures them; rejected
-        // nodes stay silent for the whole run.
-        let mut measured = arrival;
-        for at in &mut measured {
-            for (i, p) in at.iter_mut().enumerate() {
-                *p -= backoff[i];
-                if !plan.admitted[i] {
-                    *p = DbmPower::ZERO_POWER;
-                }
-            }
-        }
+        // Arrivals (mW) as the initialization phase measures them;
+        // rejected nodes stay silent for the whole run.
+        let measured: Vec<Vec<f64>> = arrival
+            .iter()
+            .map(|at| {
+                at.iter()
+                    .enumerate()
+                    .map(|(i, &p)| {
+                        if plan.admitted[i] {
+                            (p - backoff[i]).milliwatts()
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         // Rate adaptation (set once at initialization, like the grants):
         // drop to a slower switch speed when the initial SINR cannot
         // carry the granted rate at the target BER.
@@ -323,7 +329,7 @@ impl<'a> World<'a> {
             for (i, rate) in plan.rates.iter_mut().enumerate() {
                 let a = home(i);
                 let row = gains[a].row(plan.slots[i].harmonic);
-                let sinr = sinr_sum(noise[a], i, &plan.slots, |j| measured[a][j], |j| row[j]);
+                let sinr = sinr_sum(noise_mw[a], i, &plan.slots, |j| measured[a][j], |j| row[j]);
                 // Refer the channel-band SINR to the granted symbol band.
                 let ref_gain =
                     Db::new(10.0 * (plan.bandwidth.hz() / adapter.reference_rate().bps()).log10());
@@ -352,7 +358,7 @@ impl<'a> World<'a> {
             scene: &scene,
             plan: &plan,
             gains,
-            noise,
+            noise_mw,
             backoff,
             proc_gain,
             air_bits: scene.nodes.iter().map(|n| n.packet_air_bits()).collect(),
@@ -370,7 +376,7 @@ impl<'a> World<'a> {
             blockers,
             rx: Arc::new(if lease.is_some() {
                 // Everyone silent until granted.
-                vec![vec![DbmPower::ZERO_POWER; n]; na]
+                vec![vec![0.0; n]; na]
             } else {
                 measured
             }),
@@ -441,13 +447,13 @@ impl<'a> World<'a> {
     }
 }
 
-/// One AP's harmonic gain table: `row(m)[j]` is the gain of harmonic `m`
-/// toward node `j`'s arrival direction — every `harmonic_gain` value the
-/// SINR sum needs, at O(harmonics · nodes) cost. An AP without a TMA in
-/// use has a single all-0 dB row (harmonic 0).
+/// One AP's harmonic gain table: `row(m)[j]` is the linear power gain of
+/// harmonic `m` toward node `j`'s arrival direction — every gain the
+/// SINR sum needs, from one [`Tma::harmonic_power_gains`] call per node.
+/// An AP without a TMA in use has a single all-unity row (harmonic 0).
 struct GainTable {
     half: i32,
-    rows: Vec<Vec<Db>>,
+    rows: Vec<Vec<f64>>,
 }
 
 impl GainTable {
@@ -455,21 +461,23 @@ impl GainTable {
         let Some(tma) = tma else {
             return GainTable {
                 half: 0,
-                rows: vec![vec![Db::ZERO; nodes.len()]],
+                rows: vec![vec![1.0; nodes.len()]],
             };
         };
-        let aoa: Vec<Degrees> = nodes.iter().map(|n| arrival_angle(ap, n)).collect();
+        let mut rows = vec![Vec::with_capacity(nodes.len()); tma.harmonics().len()];
+        for node in nodes {
+            let gains = tma.harmonic_power_gains(arrival_angle(ap, node));
+            for (row, g) in rows.iter_mut().zip(gains) {
+                row.push(g);
+            }
+        }
         GainTable {
             half: tma.len() as i32 / 2,
-            rows: tma
-                .harmonics()
-                .into_iter()
-                .map(|m| aoa.iter().map(|&az| tma.harmonic_gain(m, az)).collect())
-                .collect(),
+            rows,
         }
     }
 
-    fn row(&self, m: i32) -> &[Db] {
+    fn row(&self, m: i32) -> &[f64] {
         &self.rows[(m + self.half) as usize]
     }
 }
@@ -489,7 +497,8 @@ struct Engine<'a> {
     scene: &'a Scene<'a>,
     plan: &'a Plan<'a>,
     gains: Vec<GainTable>,
-    noise: Vec<DbmPower>,
+    /// Per AP: the thermal noise floor, mW.
+    noise_mw: Vec<f64>,
     /// Per node: the power-control backoff.
     backoff: Vec<Db>,
     /// Per node: the processing gain of its (final) PHY rate.
@@ -504,13 +513,13 @@ struct Engine<'a> {
 
 impl Engine<'_> {
     /// SINR of node `i` at AP `a` through harmonic `h`, on the node's
-    /// current channel: `own` is its fresh arrival there, everyone else
-    /// comes from the batch snapshot.
-    fn sinr_at(&self, a: usize, h: i32, i: usize, snap: &Snapshot, own: DbmPower) -> Db {
+    /// current channel: `own` is its fresh arrival there (mW), everyone
+    /// else comes from the batch snapshot.
+    fn sinr_at(&self, a: usize, h: i32, i: usize, snap: &Snapshot, own: f64) -> Db {
         let row = self.gains[a].row(h);
         let rx = &snap.rx[a];
         sinr_sum(
-            self.noise[a],
+            self.noise_mw[a],
             i,
             &snap.slots,
             |j| if j == i { own } else { rx[j] },
@@ -547,7 +556,7 @@ impl Engine<'_> {
                 }
                 sep = ch.level_separation();
             }
-            ctx.pwr_at.push(p - cut - snap.extra_loss);
+            ctx.pwr_at.push((p - cut - snap.extra_loss).milliwatts());
         }
         let sinr = self.sinr_at(
             serving,
@@ -621,8 +630,8 @@ struct NodeCtx {
     rng: StdRng,
     fader: Option<FadingProcess>,
     paths: Vec<PropPath>,
-    /// Gather output: the fresh arrival power at every AP.
-    pwr_at: Vec<DbmPower>,
+    /// Gather output: the fresh arrival power at every AP, mW.
+    pwr_at: Vec<f64>,
     /// Gather output: candidate SINR (dB) at each in-cone neighbour AP.
     alt: Vec<(ApId, f64)>,
 }
@@ -633,8 +642,8 @@ struct NodeCtx {
 /// them copy-free; arrival powers change inside a batch, in the commit.
 struct Snapshot {
     blockers: Arc<Vec<HumanBlocker>>,
-    /// `rx[a][j]`: node `j`'s last arrival power at AP `a`.
-    rx: Arc<Vec<Vec<DbmPower>>>,
+    /// `rx[a][j]`: node `j`'s last arrival power at AP `a`, mW.
+    rx: Arc<Vec<Vec<f64>>>,
     slots: Arc<Vec<SdmSlot>>,
     serving: Arc<Vec<ApId>>,
     /// Blockage-burst penalty in force.
@@ -859,7 +868,9 @@ struct State {
     walkers: Vec<RandomWaypoint>,
     pacer: Option<LinearWalker>,
     blockers: Arc<Vec<HumanBlocker>>,
-    rx: Arc<Vec<Vec<DbmPower>>>,
+    /// `rx[a][j]`: node `j`'s last arrival power at AP `a`, mW (0 when
+    /// silent).
+    rx: Arc<Vec<Vec<f64>>>,
     slots: Arc<Vec<SdmSlot>>,
     serving: Arc<Vec<ApId>>,
     links: Vec<NodeLink>,
@@ -932,7 +943,13 @@ impl State {
                 if plan.trace_assoc && rec.is_enabled() {
                     let row = en.gains[a.index()].row(plan.slots[i].harmonic);
                     let rx = &self.rx[a.index()];
-                    let s0 = sinr_sum(en.noise[a.index()], i, &plan.slots, |j| rx[j], |j| row[j]);
+                    let s0 = sinr_sum(
+                        en.noise_mw[a.index()],
+                        i,
+                        &plan.slots,
+                        |j| rx[j],
+                        |j| row[j],
+                    );
                     rec.event(0.0, "assoc", node.id as i64, "granted", "", s0.value());
                 }
                 // Stagger starts to avoid artificial phase alignment, and
@@ -1088,7 +1105,7 @@ impl State {
     /// Silences node `i` at every AP.
     fn silence(&mut self, i: usize) {
         for rx_a in Arc::make_mut(&mut self.rx) {
-            rx_a[i] = DbmPower::ZERO_POWER;
+            rx_a[i] = 0.0;
         }
     }
 

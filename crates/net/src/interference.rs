@@ -11,10 +11,16 @@
 //! for all four with global channel indices, so cross-AP interference
 //! falls out of the same arithmetic as intra-AP interference. The
 //! simulator runs the same sum over per-AP gain tables.
+//!
+//! The sum works in the linear domain: arrivals in milliwatts, gains and
+//! adjacent-channel isolation as linear power ratios. Each interference
+//! term is one multiply-add, and the only transcendental call per SINR is
+//! the final `log10`.
 
 use crate::sdm::SdmSlot;
 use mmx_antenna::tma::HarmonicGain;
 use mmx_units::{thermal_noise_dbm, Db, DbmPower, Degrees, Hertz};
+use std::sync::OnceLock;
 
 /// Adjacent-channel leakage of an OOK transmitter into a channel `k`
 /// steps away (guard bands included in the plan): −30 dB for the first
@@ -26,6 +32,13 @@ pub fn adjacent_channel_leakage(channel_distance: usize) -> Db {
         2 => -45.0,
         _ => -60.0,
     })
+}
+
+/// [`adjacent_channel_leakage`] as linear power ratios, indexed by
+/// channel distance (the last entry covers every larger distance).
+fn acl_linear() -> &'static [f64; 4] {
+    static ACL: OnceLock<[f64; 4]> = OnceLock::new();
+    ACL.get_or_init(|| std::array::from_fn(|d| adjacent_channel_leakage(d).linear()))
 }
 
 /// SINR of node `me` at one AP of a multi-AP deployment.
@@ -58,34 +71,42 @@ pub fn sinr_at_ap(
 ) -> Db {
     let harmonic = slots[me].harmonic;
     sinr_sum(
-        thermal_noise_dbm(bandwidth, noise_figure),
+        thermal_noise_dbm(bandwidth, noise_figure).milliwatts(),
         me,
         &slots[..nodes],
-        rx_of,
-        |j| tma.harmonic_gain(harmonic, aoa_of(j)),
+        |j| rx_of(j).milliwatts(),
+        |j| tma.harmonic_gain(harmonic, aoa_of(j)).linear(),
     )
 }
 
-/// The SINR sum every simulator path shares: node `me`'s arrival
-/// `rx_of(me)` through gain `gain_of(me)`, over `noise` plus every other
-/// node `j`'s arrival through `gain_of(j)` (the listening harmonic's gain
-/// toward `j`) and the adjacent-channel isolation between `me`'s channel
-/// and `j`'s. Terms are summed in node order, so the result is
-/// bit-reproducible. A silent node (`DbmPower::ZERO_POWER`) adds nothing.
+/// The SINR sum every simulator path shares, in the linear domain:
+/// node `me`'s arrival `rx_mw(me)` (mW) through linear gain `gain(me)`,
+/// over `noise_mw` plus every other node `j`'s arrival through `gain(j)`
+/// (the listening harmonic's gain toward `j`) and the linear
+/// adjacent-channel isolation between `me`'s channel and `j`'s:
+///
+/// `SINR = wanted / (noise + Σ_{j≠me} rx_mw[j]·gain[j]·acl[|ch_me − ch_j|])`
+///
+/// Terms are summed in node order, so the result is bit-reproducible,
+/// and the one `log10` is the conversion of the ratio to dB. A silent
+/// node (0 mW) adds nothing; a silent `me` gets −∞ dB.
 pub(crate) fn sinr_sum(
-    noise: DbmPower,
+    noise_mw: f64,
     me: usize,
     slots: &[SdmSlot],
-    rx_of: impl Fn(usize) -> DbmPower,
-    gain_of: impl Fn(usize) -> Db,
+    rx_mw: impl Fn(usize) -> f64,
+    gain: impl Fn(usize) -> f64,
 ) -> Db {
+    let acl = acl_linear();
     let channel = slots[me].channel;
-    let wanted = rx_of(me) + gain_of(me);
-    let interference = (0..slots.len()).filter(|&j| j != me).map(|j| {
-        let acl = adjacent_channel_leakage(channel.abs_diff(slots[j].channel));
-        rx_of(j) + gain_of(j) + acl
-    });
-    wanted - DbmPower::power_sum(std::iter::once(noise).chain(interference))
+    let wanted = rx_mw(me) * gain(me);
+    let mut total = noise_mw;
+    for (j, slot) in slots.iter().enumerate() {
+        if j != me {
+            total += rx_mw(j) * gain(j) * acl[channel.abs_diff(slot.channel).min(acl.len() - 1)];
+        }
+    }
+    Db::from_linear(wanted / total)
 }
 
 #[cfg(test)]
@@ -140,7 +161,7 @@ mod tests {
         let sinr = sinr_each(&t, &[-60.0], &[aoa], &[slot(0, 0)])[0];
         // Noise floor ≈ −97.4 dBm; wanted −60 + harmonic gain.
         let expect = DbmPower::new(-60.0) + t.harmonic_gain(0, aoa) - thermal_noise_dbm(bw(), nf());
-        assert!((sinr - expect).value().abs() < 0.1, "sinr {sinr}");
+        assert!((sinr - expect).value().abs() < 1e-9, "sinr {sinr}");
     }
 
     #[test]
@@ -179,23 +200,6 @@ mod tests {
         let far = node0(3);
         assert!((adjacent - same).value() > 25.0);
         assert!(far > adjacent);
-    }
-
-    #[test]
-    fn lut_sinr_tracks_exact_sinr() {
-        let t = tma();
-        let lut = t.gain_lut(0.25);
-        let aoa = [
-            t.harmonic_direction(0).unwrap() + Degrees::new(1.3),
-            t.harmonic_direction(2).unwrap() + Degrees::new(-0.7),
-        ];
-        let rx = [-60.0, -58.0];
-        let slots = [slot(0, 0), slot(1, 2)];
-        let exact = sinr_each(&t, &rx, &aoa, &slots);
-        let fast = sinr_each(&lut, &rx, &aoa, &slots);
-        for (e, f) in exact.iter().zip(&fast) {
-            assert!((e.value() - f.value()).abs() < 1.0, "{e} vs {f}");
-        }
     }
 
     #[test]
@@ -251,12 +255,16 @@ mod tests {
             DbmPower::new(-58.0),
             DbmPower::ZERO_POWER,
         ];
-        let noise = thermal_noise_dbm(bw(), nf());
+        let noise = thermal_noise_dbm(bw(), nf()).milliwatts();
+        let rx_mw = |j: usize| rx[j].milliwatts();
         for me in 0..3 {
             let h = slots[me].harmonic;
             let direct = sinr_at_ap(&t, nf(), bw(), me, 3, &slots, |j| rx[j], |j| aoa[j]);
-            let row: Vec<Db> = aoa.iter().map(|&az| t.harmonic_gain(h, az)).collect();
-            let tabled = sinr_sum(noise, me, &slots, |j| rx[j], |j| row[j]);
+            let row: Vec<f64> = aoa
+                .iter()
+                .map(|&az| t.harmonic_gain(h, az).linear())
+                .collect();
+            let tabled = sinr_sum(noise, me, &slots, rx_mw, |j| row[j]);
             assert_eq!(direct.value().to_bits(), tabled.value().to_bits());
         }
         let two = sinr_at_ap(&t, nf(), bw(), 0, 2, &slots, |j| rx[j], |j| aoa[j]);
@@ -273,5 +281,69 @@ mod tests {
         let d1 = t.harmonic_direction(1).unwrap() + Degrees::new(3.0);
         let node0 = |p: f64| sinr_each(&t, &[-60.0, p], &[d0, d1], &[slot(0, 0), slot(0, 1)])[0];
         assert!(node0(-70.0) > node0(-40.0));
+    }
+
+    /// The dB-domain form of [`sinr_sum`]: every term's dB values added,
+    /// then one `powf` per term in [`DbmPower::power_sum`].
+    fn sinr_sum_db(
+        noise: DbmPower,
+        me: usize,
+        slots: &[SdmSlot],
+        rx: &[DbmPower],
+        gain: &[Db],
+    ) -> Db {
+        let channel = slots[me].channel;
+        let interference = (0..slots.len()).filter(|&j| j != me).map(|j| {
+            rx[j] + gain[j] + adjacent_channel_leakage(channel.abs_diff(slots[j].channel))
+        });
+        rx[me] + gain[me] - DbmPower::power_sum(std::iter::once(noise).chain(interference))
+    }
+
+    #[test]
+    fn linear_sum_matches_the_db_domain_formula() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x51_4e_52);
+        let t = tma();
+        let noise = thermal_noise_dbm(bw(), nf());
+        for _ in 0..200 {
+            let n = rng.gen_range(1..40);
+            let slots: Vec<SdmSlot> = (0..n)
+                .map(|_| slot(rng.gen_range(0..6), rng.gen_range(-4..4)))
+                .collect();
+            // About one node in five is silent.
+            let rx: Vec<DbmPower> = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.2) {
+                        DbmPower::ZERO_POWER
+                    } else {
+                        DbmPower::new(rng.gen_range(-90.0..-40.0))
+                    }
+                })
+                .collect();
+            let aoa: Vec<Degrees> = (0..n)
+                .map(|_| Degrees::new(rng.gen_range(-80.0..80.0)))
+                .collect();
+            for me in 0..n {
+                let h = slots[me].harmonic;
+                let gain: Vec<Db> = aoa.iter().map(|&az| t.harmonic_gain(h, az)).collect();
+                let reference = sinr_sum_db(noise, me, &slots, &rx, &gain);
+                let linear = sinr_sum(
+                    noise.milliwatts(),
+                    me,
+                    &slots,
+                    |j| rx[j].milliwatts(),
+                    |j| gain[j].linear(),
+                );
+                if rx[me] == DbmPower::ZERO_POWER {
+                    assert_eq!(linear.value(), f64::NEG_INFINITY);
+                    assert_eq!(reference.value(), f64::NEG_INFINITY);
+                } else {
+                    assert!(
+                        (linear - reference).value().abs() < 1e-9,
+                        "n={n} me={me}: {linear} vs {reference}"
+                    );
+                }
+            }
+        }
     }
 }
