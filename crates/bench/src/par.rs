@@ -71,7 +71,17 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = threads().min(n.max(1));
+    run_indexed_on(threads(), n, f)
+}
+
+/// [`run_indexed`] on `workers` threads (at most `n`) instead of the
+/// ambient count.
+pub(crate) fn run_indexed_on<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.min(n.max(1));
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }

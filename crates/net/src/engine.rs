@@ -8,7 +8,9 @@
 //! settings). The engine owns the rest:
 //!
 //! * walkers, the pacer and the blocker constellation;
-//! * per-node gather contexts: RNG stream, fading state, trace scratch;
+//! * per-node gather contexts: RNG stream, fading state, trace scratch
+//!   and the channel cache (one traced link per AP, refreshed only when
+//!   the blockers move);
 //! * one harmonic gain table per AP and the one SINR sum
 //!   ([`crate::interference::sinr_sum`]);
 //! * the drain / gather / commit batching over the worker pool;
@@ -47,7 +49,7 @@ use mmx_channel::response::{beam_channel_into, BeamChannel};
 use mmx_channel::room::Room;
 use mmx_channel::trace::{PropPath, Tracer};
 use mmx_channel::Vec2;
-use mmx_obs::{ObsStage, Recorder};
+use mmx_obs::Recorder;
 use mmx_phy::ber::{fsk_ber, joint_ber};
 use mmx_units::{thermal_noise_dbm, BitRate, Db, DbmPower, Degrees, Hertz, Seconds};
 use rand::rngs::StdRng;
@@ -218,8 +220,9 @@ pub(crate) struct World<'a> {
     walkers: Vec<RandomWaypoint>,
     pacer: Option<LinearWalker>,
     blockers: Arc<Vec<HumanBlocker>>,
-    /// `arrival[a][i]`: node `i`'s specular power at AP `a` at t = 0.
-    pub arrival: Vec<Vec<DbmPower>>,
+    /// `arrival[a][i]`: node `i`'s specular power at AP `a` at t = 0,
+    /// and the beam channel it was traced from.
+    pub arrival: Vec<Vec<(DbmPower, BeamChannel)>>,
 }
 
 fn blockers_of(walkers: &[RandomWaypoint], pacer: &Option<LinearWalker>) -> Vec<HumanBlocker> {
@@ -252,7 +255,7 @@ impl<'a> World<'a> {
         let arrival = (0..scene.aps.len())
             .map(|a| {
                 (0..scene.nodes.len())
-                    .map(|i| scene.trace(a, i, &blockers, &mut paths).0)
+                    .map(|i| scene.trace(a, i, &blockers, &mut paths))
                     .collect()
             })
             .collect();
@@ -295,10 +298,10 @@ impl<'a> World<'a> {
         let backoff: Vec<Db> = match plan.power_control {
             Some(max) if n > 1 => {
                 let floor = (0..n)
-                    .map(|i| arrival[home(i)][i])
+                    .map(|i| arrival[home(i)][i].0)
                     .fold(DbmPower::new(f64::INFINITY), DbmPower::min);
                 (0..n)
-                    .map(|i| (arrival[home(i)][i] - floor).clamp(Db::ZERO, max))
+                    .map(|i| (arrival[home(i)][i].0 - floor).clamp(Db::ZERO, max))
                     .collect()
             }
             _ => vec![Db::ZERO; n],
@@ -310,7 +313,7 @@ impl<'a> World<'a> {
             .map(|at| {
                 at.iter()
                     .enumerate()
-                    .map(|(i, &p)| {
+                    .map(|(i, &(p, _))| {
                         if plan.admitted[i] {
                             (p - backoff[i]).milliwatts()
                         } else {
@@ -325,7 +328,6 @@ impl<'a> World<'a> {
         // carry the granted rate at the target BER.
         if plan.rate_adaptation {
             let adapter = mmx_phy::rate::RateAdapter::standard();
-            let mut paths = Vec::new();
             for (i, rate) in plan.rates.iter_mut().enumerate() {
                 let a = home(i);
                 let row = gains[a].row(plan.slots[i].harmonic);
@@ -333,7 +335,7 @@ impl<'a> World<'a> {
                 // Refer the channel-band SINR to the granted symbol band.
                 let ref_gain =
                     Db::new(10.0 * (plan.bandwidth.hz() / adapter.reference_rate().bps()).log10());
-                let (_, ch) = scene.trace(a, i, &blockers, &mut paths);
+                let ch = arrival[a][i].1;
                 if let Some(r) = adapter.select(sinr + ref_gain, ch.level_separation()) {
                     *rate = rate.min(r);
                 }
@@ -374,6 +376,7 @@ impl<'a> World<'a> {
             walkers,
             pacer,
             blockers,
+            generation: 0,
             rx: Arc::new(if lease.is_some() {
                 // Everyone silent until granted.
                 vec![vec![0.0; n]; na]
@@ -403,6 +406,17 @@ impl<'a> World<'a> {
                     Some(NodeCtx {
                         rng,
                         fader,
+                        links: arrival
+                            .iter()
+                            .map(|at| {
+                                let (power, ch) = at[i];
+                                Link {
+                                    generation: 0,
+                                    power,
+                                    ch,
+                                }
+                            })
+                            .collect(),
                         paths: Vec::new(),
                         pwr_at: Vec::with_capacity(na),
                         alt: Vec::new(),
@@ -505,7 +519,7 @@ struct Engine<'a> {
     proc_gain: Vec<Db>,
     air_bits: Vec<usize>,
     idx_of: BTreeMap<NodeId, usize>,
-    /// Gather tasks stage per-packet samples for the commit phase.
+    /// The commit records per-packet samples into [`PacketMetrics`].
     obs_on: bool,
     /// The lease policy, under [`Control::Handshake`].
     lease: Option<LeaseConfig>,
@@ -527,12 +541,14 @@ impl Engine<'_> {
         )
     }
 
-    /// The gather phase for one packet: a ray trace per AP, a fading step
-    /// on the serving link, SINR against the batch snapshot, candidate
-    /// SINR at every in-cone neighbour, BER → PER and the delivery draw.
-    /// Pure per-node work — reads only frozen per-run data and the batch
-    /// snapshot; mutates only the node's own context — so the result is a
-    /// function of the task alone, independent of thread count.
+    /// The gather phase for one packet: the specular link to every AP
+    /// (from the node's channel cache, re-traced only when the blockers
+    /// have moved since it was traced), a fading step on the serving
+    /// link, SINR against the batch snapshot, candidate SINR at every
+    /// in-cone neighbour, BER → PER and the delivery draw. Pure per-node
+    /// work — reads only frozen per-run data and the batch snapshot;
+    /// mutates only the node's own context — so the result is a function
+    /// of the task alone, independent of thread count.
     fn gather(&self, task: Task) -> Gathered {
         let Task {
             i,
@@ -544,12 +560,22 @@ impl Engine<'_> {
         let cut = self.backoff[i];
         ctx.pwr_at.clear();
         let mut sep = Db::ZERO;
-        for a in 0..self.scene.aps.len() {
-            let (mut p, mut ch) = self.scene.trace(a, i, &snap.blockers, &mut ctx.paths);
+        for (a, link) in ctx.links.iter_mut().enumerate() {
+            if link.generation != snap.generation {
+                (link.power, link.ch) = self.scene.trace(a, i, &snap.blockers, &mut ctx.paths);
+                link.generation = snap.generation;
+            } else {
+                debug_assert!(
+                    link.holds(self.scene.trace(a, i, &snap.blockers, &mut ctx.paths)),
+                    "cached link of node {i} at AP {a} differs from a fresh trace"
+                );
+            }
+            let mut p = link.power;
             if a == serving {
                 // Fading perturbs the serving link only; exactly one step
                 // per packet keeps the node-stream draw count independent
                 // of the serving AP.
+                let mut ch = link.ch;
                 if let Some(f) = ctx.fader.as_mut() {
                     ch = f.step(&ch, &mut ctx.rng);
                     p = self.scene.received(i, &ch);
@@ -585,28 +611,15 @@ impl Engine<'_> {
                 ctx.alt.push((b, s.value()));
             }
         }
-        let mut stage = ObsStage::new();
-        if self.obs_on {
-            stage.observe("sinr_db", "", sinr.value());
-            // The margin is what the handshake's outage detection reads.
-            if self.lease.is_some() {
-                stage.observe(
-                    "decision_margin_db",
-                    "",
-                    (decision_snr - self.plan.decode_threshold).value(),
-                );
-            }
-            stage.observe("ber", "", ber);
-        }
         Gathered {
             i,
             fsk,
             ctx,
             sinr,
             decision_snr,
+            ber,
             per,
             draw,
-            stage,
         }
     }
 
@@ -621,19 +634,43 @@ impl Engine<'_> {
 }
 
 /// Per-node gather context: the node's private RNG stream
-/// ([`streams::node_stream`]), its time-correlated fading state and
-/// reusable buffers. Exactly one in-flight gather task owns a node's
-/// context at a time (a node appears at most once per batch), so no
-/// locking is needed — the context travels with the task and comes back
-/// with the result.
+/// ([`streams::node_stream`]), its time-correlated fading state, its
+/// channel cache and reusable buffers. Exactly one in-flight gather task
+/// owns a node's context at a time (a node appears at most once per
+/// batch), so no locking is needed — the context travels with the task
+/// and comes back with the result.
 struct NodeCtx {
     rng: StdRng,
     fader: Option<FadingProcess>,
+    /// The channel cache: `links[a]` is the node's specular link to AP
+    /// `a` as last traced.
+    links: Vec<Link>,
     paths: Vec<PropPath>,
     /// Gather output: the fresh arrival power at every AP, mW.
     pwr_at: Vec<f64>,
     /// Gather output: candidate SINR (dB) at each in-cone neighbour AP.
     alt: Vec<(ApId, f64)>,
+}
+
+/// One cached specular link: what [`Scene::trace`] returned under the
+/// blockers of generation `generation`. Poses are fixed for a run and
+/// the blockers change only at a mobility `Step`, so while the
+/// generation holds the entry *is* the trace.
+#[derive(Clone, Copy)]
+struct Link {
+    generation: u64,
+    power: DbmPower,
+    ch: BeamChannel,
+}
+
+impl Link {
+    /// Whether this entry holds exactly `fresh`, bit for bit.
+    fn holds(&self, fresh: (DbmPower, BeamChannel)) -> bool {
+        let bits = |p: DbmPower, ch: BeamChannel| {
+            [p.dbm(), ch.h0.re, ch.h0.im, ch.h1.re, ch.h1.im].map(f64::to_bits)
+        };
+        bits(self.power, self.ch) == bits(fresh.0, fresh.1)
+    }
 }
 
 /// State shared by every task of one gather batch, frozen at batch
@@ -642,6 +679,8 @@ struct NodeCtx {
 /// them copy-free; arrival powers change inside a batch, in the commit.
 struct Snapshot {
     blockers: Arc<Vec<HumanBlocker>>,
+    /// Generation of `blockers`.
+    generation: u64,
     /// `rx[a][j]`: node `j`'s last arrival power at AP `a`, mW.
     rx: Arc<Vec<Vec<f64>>>,
     slots: Arc<Vec<SdmSlot>>,
@@ -667,12 +706,10 @@ struct Gathered {
     ctx: NodeCtx,
     sinr: Db,
     decision_snr: Db,
+    ber: f64,
     per: f64,
     /// The node-stream uniform draw deciding packet delivery.
     draw: f64,
-    /// Observability records produced on the worker, absorbed by the
-    /// commit phase in canonical order.
-    stage: ObsStage,
 }
 
 /// Events of the engine. `Packet`s batch; everything else ends a batch,
@@ -782,21 +819,6 @@ impl PacketMetrics {
         }
     }
 
-    /// Absorbs a gather task's staged observations into the stack-local
-    /// histograms, in staging order. Routing matches on the static name
-    /// tags the gather phase stages, so the commit path stays free of
-    /// keyed map lookups.
-    fn absorb(&mut self, stage: &mut ObsStage) {
-        for (name, _label, v) in stage.drain_observations() {
-            match name {
-                "sinr_db" => self.sinr_db.record(v),
-                "decision_margin_db" => self.margin_db.record(v),
-                "ber" => self.ber.record(v),
-                other => debug_assert!(false, "unrouted staged observation {other}"),
-            }
-        }
-    }
-
     fn flush(&self, rec: &mut Recorder) {
         if !self.on {
             return;
@@ -868,6 +890,9 @@ struct State {
     walkers: Vec<RandomWaypoint>,
     pacer: Option<LinearWalker>,
     blockers: Arc<Vec<HumanBlocker>>,
+    /// Generation of `blockers`: 0 at t = 0, bumped each time a `Step`
+    /// rebuilds them.
+    generation: u64,
     /// `rx[a][j]`: node `j`'s last arrival power at AP `a`, mW (0 when
     /// silent).
     rx: Arc<Vec<Vec<f64>>>,
@@ -1121,14 +1146,19 @@ impl State {
         match ev {
             Event::Packet(_) => unreachable!("packets run in batches"),
             Event::Step => {
-                let dt = en.plan.step.value();
-                for w in self.walkers.iter_mut() {
-                    w.step(en.scene.room, dt, &mut self.rng);
+                // Without walkers or a pacer the blockers never move, and
+                // every cached link stays valid for the whole run.
+                if !self.walkers.is_empty() || self.pacer.is_some() {
+                    let dt = en.plan.step.value();
+                    for w in self.walkers.iter_mut() {
+                        w.step(en.scene.room, dt, &mut self.rng);
+                    }
+                    if let Some(p) = self.pacer.as_mut() {
+                        p.step(dt);
+                    }
+                    self.blockers = Arc::new(blockers_of(&self.walkers, &self.pacer));
+                    self.generation += 1;
                 }
-                if let Some(p) = self.pacer.as_mut() {
-                    p.step(dt);
-                }
-                self.blockers = Arc::new(blockers_of(&self.walkers, &self.pacer));
                 self.q
                     .schedule_in(en.plan.step, Event::Step)
                     .expect("step period is positive");
@@ -1553,6 +1583,7 @@ impl State {
         // -- gather: per-node work, in parallel --
         let snap = Arc::new(Snapshot {
             blockers: Arc::clone(&self.blockers),
+            generation: self.generation,
             rx: Arc::clone(&self.rx),
             slots: Arc::clone(&self.slots),
             serving: Arc::clone(&self.serving),
@@ -1605,7 +1636,7 @@ impl State {
 
     /// Applies one gathered packet: arrivals, statistics, outage
     /// detection, delivery, roaming hysteresis, and the next packet.
-    fn commit(&mut self, en: &Engine, tb: Seconds, mut g: Gathered, rec: &mut Recorder) {
+    fn commit(&mut self, en: &Engine, tb: Seconds, g: Gathered, rec: &mut Recorder) {
         let (i, plan) = (g.i, en.plan);
         let node = &en.scene.nodes[i];
         for (rx_a, &p) in Arc::make_mut(&mut self.rx).iter_mut().zip(&g.ctx.pwr_at) {
@@ -1637,7 +1668,15 @@ impl State {
             self.pm.fsk_fallback += 1;
         }
         self.pm.sent += 1;
-        self.pm.absorb(&mut g.stage);
+        if en.obs_on {
+            self.pm.sinr_db.record(sinr);
+            // The margin is what the handshake's outage detection reads.
+            if en.lease.is_some() {
+                let margin = g.decision_snr - plan.decode_threshold;
+                self.pm.margin_db.record(margin.value());
+            }
+            self.pm.ber.record(g.ber);
+        }
         let out = &mut self.out;
         out.meters[i].record_airtime(node.packet_airtime(plan.rates[i]), node.tx_power_draw());
         let ok = g.draw >= g.per;

@@ -425,7 +425,7 @@ impl MultiApSim {
         // ties to the lower AP id ----
         let serving: Vec<ApId> = (0..nn)
             .map(|i| {
-                let key = |a: usize| (in_cone(a, i), world.arrival[a][i]);
+                let key = |a: usize| (in_cone(a, i), world.arrival[a][i].0);
                 ApId((1..na).fold(0, |best, a| if key(a) > key(best) { a } else { best }) as u16)
             })
             .collect();

@@ -1217,4 +1217,46 @@ mod tests {
             "pacing blocker should hurt: clear {clear} vs paced {paced}"
         );
     }
+
+    #[test]
+    fn channel_cache_refreshes_only_at_mobility_steps() {
+        // One node, no walkers, no fading: its SINR is a function of its
+        // cached link alone, so it may change only where a `Step` moved
+        // the pacer, never between two steps. (In debug builds the
+        // engine also checks every cache hit against a fresh trace.)
+        let mk = |pacing: bool, threads: usize| {
+            let mut cfg = SimConfig::standard();
+            cfg.duration = Seconds::new(4.0);
+            cfg.walkers = 0;
+            cfg.pacing_blocker = pacing;
+            cfg.record_trace = true;
+            cfg.threads = threads;
+            let mut sim = NetworkSim::new(room(), ap(), cfg);
+            let pose = Pose::facing_toward(Vec2::new(0.5, 2.0), Vec2::new(5.7, 2.0));
+            sim.add_node(NodeStation::hd_camera(0, pose));
+            sim.run().unwrap()
+        };
+        let paced = mk(true, 1);
+        assert_eq!(paced, mk(true, 4), "reports differ across thread counts");
+        let step = SimConfig::standard().step.value();
+        let period = |s: &PacketSample| (s.t.value() / step).floor() as i64;
+        let mut refreshes = 0;
+        for w in paced.trace.windows(2) {
+            if w[1].sinr_db.to_bits() != w[0].sinr_db.to_bits() {
+                let t = w[1].t.value();
+                assert_ne!(
+                    period(&w[0]),
+                    period(&w[1]),
+                    "SINR moved inside a step at {t} s"
+                );
+                refreshes += 1;
+            }
+        }
+        assert!(refreshes > 0, "the pacer never changed the cached link");
+        // Without walkers or a pacer the blockers never move, and one
+        // trace serves the whole run.
+        let still = mk(false, 1);
+        let sinr = still.trace[0].sinr_db.to_bits();
+        assert!(still.trace.iter().all(|s| s.sinr_db.to_bits() == sinr));
+    }
 }

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// Number of histogram buckets between [`Histogram::MIN_EDGE`] and
 /// [`Histogram::MAX_EDGE`]: 20 per decade over 20 decades.
@@ -16,6 +17,109 @@ pub const HISTOGRAM_BUCKETS: usize = 400;
 
 /// Buckets per decade (bucket width ≈ 12.2% relative).
 const BUCKETS_PER_DECADE: f64 = 20.0;
+
+/// Counter slots of a histogram: slot 0 counts underflow, slot `b + 1`
+/// bucket `b`, and the last slot overflow.
+const SLOTS: usize = HISTOGRAM_BUCKETS + 2;
+
+/// The slot index resolves a value to a cell by its exponent and this
+/// many leading mantissa bits. A cell then spans under 0.027 decades,
+/// about half a bucket, so at most one bucket edge falls inside it.
+const CELL_MANTISSA_BITS: u32 = 4;
+const CELL_SHIFT: u32 = 52 - CELL_MANTISSA_BITS;
+
+/// Cells in the slot index: the ~67 binades from [`Histogram::MIN_EDGE`]
+/// to [`Histogram::MAX_EDGE`] at 16 cells each, rounded up to a power of
+/// two; the cells past the top edge are all overflow.
+const CELLS: usize = 2048;
+
+/// The cell key of `v`: its bit pattern above the cell's mantissa bits,
+/// signed so that every negative value sorts below every positive one.
+fn cell_key(v: f64) -> i64 {
+    (v.to_bits() as i64) >> CELL_SHIFT
+}
+
+/// The defining slot of a (non-NaN) value: `floor(log10(v / MIN_EDGE) ·
+/// 20)` for the buckets, underflow at or below [`Histogram::MIN_EDGE`],
+/// overflow from bucket [`HISTOGRAM_BUCKETS`] on. [`SlotIndex`] is built
+/// from it and returns the same slot for every input.
+fn slot_by_log10(v: f64) -> usize {
+    if v <= Histogram::MIN_EDGE {
+        return 0; // incl. zero and negatives
+    }
+    let b = ((v / Histogram::MIN_EDGE).log10() * BUCKETS_PER_DECADE).floor();
+    if b >= HISTOGRAM_BUCKETS as f64 {
+        SLOTS - 1
+    } else {
+        b as usize + 1
+    }
+}
+
+/// Table-driven [`slot_by_log10`]: one cell lookup plus one comparison
+/// against an exact bucket edge, no logarithm.
+struct SlotIndex {
+    /// Cell key of `first[0]`, the cell just below `MIN_EDGE`'s.
+    base: i64,
+    /// Per cell: the slot of the smallest value in it. Keys below the
+    /// table clamp to its first cell (all underflow), keys above to its
+    /// last (all overflow).
+    first: [u16; CELLS],
+    /// `edge[s]`: the smallest value whose slot exceeds `s`; NaN for the
+    /// overflow slot, so no comparison against it succeeds.
+    edge: [f64; SLOTS],
+}
+
+impl SlotIndex {
+    /// The index, built on first use.
+    #[inline]
+    fn get() -> &'static SlotIndex {
+        static INDEX: OnceLock<SlotIndex> = OnceLock::new();
+        INDEX.get_or_init(SlotIndex::build)
+    }
+
+    fn build() -> SlotIndex {
+        // Each edge sits within a few ulps of its analytic value: start
+        // there and step one ulp at a time onto the exact boundary.
+        let mut edge = [f64::NAN; SLOTS];
+        for (s, e) in edge.iter_mut().enumerate().take(SLOTS - 1) {
+            let analytic = Histogram::MIN_EDGE * 10f64.powf(s as f64 / BUCKETS_PER_DECADE);
+            let mut bits = analytic.to_bits();
+            while slot_by_log10(f64::from_bits(bits)) > s {
+                bits -= 1;
+            }
+            while slot_by_log10(f64::from_bits(bits)) <= s {
+                bits += 1;
+            }
+            *e = f64::from_bits(bits);
+        }
+        let base = cell_key(Histogram::MIN_EDGE) - 1;
+        assert!(
+            cell_key(edge[SLOTS - 2]) - base < CELLS as i64,
+            "the slot index ends below the top bucket edge"
+        );
+        // Count the edges at or below each cell's smallest value.
+        let mut first = [0u16; CELLS];
+        let mut s = 0;
+        for (c, f) in first.iter_mut().enumerate() {
+            let low = f64::from_bits(((base + c as i64) << CELL_SHIFT) as u64);
+            let before = s;
+            while s < SLOTS - 1 && edge[s] <= low {
+                s += 1;
+            }
+            assert!(s - before <= 1, "a cell holds two bucket edges");
+            *f = s as u16;
+        }
+        SlotIndex { base, first, edge }
+    }
+
+    /// The slot of a non-NaN value.
+    #[inline]
+    fn slot(&self, v: f64) -> usize {
+        let cell = (cell_key(v) - self.base).clamp(0, CELLS as i64 - 1) as usize;
+        let s = self.first[cell] as usize;
+        s + usize::from(v >= self.edge[s])
+    }
+}
 
 /// A metric key: a static name, an optional static label value and an
 /// optional small integer index (node id, channel, …; `-1` = none).
@@ -57,9 +161,10 @@ impl Key {
 /// Values map to one of [`HISTOGRAM_BUCKETS`] geometric buckets between
 /// 10⁻¹² and 10⁸ (20 buckets per decade); values at or below the lower
 /// edge land in an underflow bucket, values above the upper edge in an
-/// overflow bucket. Exact minimum, maximum and count are kept on the
-/// side, so `max()` is exact and quantile estimates come with hard
-/// bracket guarantees ([`Self::quantile_bounds`]).
+/// overflow bucket. Exact minimum and maximum are kept on the side
+/// (the count is the sum of the buckets), so `max()` is exact and
+/// quantile estimates come with hard bracket guarantees
+/// ([`Self::quantile_bounds`]).
 ///
 /// The struct holds only integers and exact min/max — no running float
 /// sum — so merging is associative and [`PartialEq`] is meaningful:
@@ -67,10 +172,8 @@ impl Key {
 /// stream.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    counts: Box<[u64; HISTOGRAM_BUCKETS]>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
+    /// Underflow, the buckets, overflow (see [`SLOTS`]).
+    counts: Box<[u64; SLOTS]>,
     min: f64,
     max: f64,
 }
@@ -78,9 +181,6 @@ pub struct Histogram {
 impl PartialEq for Histogram {
     fn eq(&self, other: &Self) -> bool {
         self.counts[..] == other.counts[..]
-            && self.underflow == other.underflow
-            && self.overflow == other.overflow
-            && self.count == other.count
             && self.min.to_bits() == other.min.to_bits()
             && self.max.to_bits() == other.max.to_bits()
     }
@@ -95,10 +195,7 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: Box::new([0; HISTOGRAM_BUCKETS]),
-            underflow: 0,
-            overflow: 0,
-            count: 0,
+            counts: Box::new([0; SLOTS]),
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -106,7 +203,7 @@ impl Histogram {
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.counts.iter().sum()
     }
 
     /// Exact smallest recorded value (`+inf` when empty).
@@ -119,18 +216,6 @@ impl Histogram {
         self.max
     }
 
-    fn bucket_of(v: f64) -> Option<usize> {
-        if v <= Self::MIN_EDGE {
-            return None; // underflow (incl. zero and negatives)
-        }
-        let b = ((v / Self::MIN_EDGE).log10() * BUCKETS_PER_DECADE).floor();
-        if b >= HISTOGRAM_BUCKETS as f64 {
-            Some(HISTOGRAM_BUCKETS) // overflow sentinel
-        } else {
-            Some(b as usize)
-        }
-    }
-
     /// Geometric edges `(lo, hi]` of bucket `b`.
     fn bucket_edges(b: usize) -> (f64, f64) {
         let lo = Self::MIN_EDGE * 10f64.powf(b as f64 / BUCKETS_PER_DECADE);
@@ -139,18 +224,20 @@ impl Histogram {
     }
 
     /// Records one sample. NaN samples are ignored.
+    #[inline]
     pub fn record(&mut self, v: f64) {
         if v.is_nan() {
             return;
         }
-        match Self::bucket_of(v) {
-            None => self.underflow += 1,
-            Some(HISTOGRAM_BUCKETS) => self.overflow += 1,
-            Some(b) => self.counts[b] += 1,
+        self.counts[SlotIndex::get().slot(v)] += 1;
+        // Neither side is NaN here: a plain comparison is the min (max),
+        // and past the first few samples it rarely stores.
+        if v < self.min {
+            self.min = v;
         }
-        self.count += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        if v > self.max {
+            self.max = v;
+        }
     }
 
     /// Folds `other` into `self`. Equivalent — by `PartialEq` — to
@@ -159,9 +246,6 @@ impl Histogram {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -170,17 +254,18 @@ impl Histogram {
     /// rank-⌈q·n⌉ sample is guaranteed to lie in `[lo, hi]`. Returns
     /// `None` when empty.
     pub fn quantile_bounds(&self, q: f64) -> Option<(f64, f64)> {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = self.underflow;
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+        let mut seen = self.counts[0];
         if rank <= seen {
             // All underflow values are ≤ MIN_EDGE; min is exact.
             return Some((self.min, Self::MIN_EDGE.min(self.max)));
         }
-        for (b, &c) in self.counts.iter().enumerate() {
+        for (b, &c) in self.counts[1..=HISTOGRAM_BUCKETS].iter().enumerate() {
             seen += c;
             if rank <= seen {
                 let (lo, hi) = Self::bucket_edges(b);
@@ -401,6 +486,55 @@ mod tests {
         // Quantiles stay inside the exact observed range.
         let p50 = h.quantile(0.5).unwrap();
         assert!((-5.0..=1e20).contains(&p50));
+    }
+
+    /// xorshift64*: a dependency-free value stream.
+    fn stream(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    #[test]
+    fn slot_index_matches_the_log10_definition() {
+        let index = SlotIndex::get();
+        let check = |v: f64| {
+            if !v.is_nan() {
+                let bits = v.to_bits();
+                assert_eq!(index.slot(v), slot_by_log10(v), "{v:e} ({bits:#x})");
+            }
+        };
+        let mut next = stream(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..1_000_000 {
+            // Log-uniform over 10^-14 … 10^10 (the bucket range with a
+            // margin either side), and raw bit patterns: every sign,
+            // exponent and subnormal, ±0 and ±∞.
+            let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            check(10f64.powf(-14.0 + 24.0 * u));
+            check(f64::from_bits(next()));
+        }
+        // Every edge ±4 ulps: the analytic ones, and the table's own.
+        let analytic = (0..=HISTOGRAM_BUCKETS)
+            .map(|b| Histogram::MIN_EDGE * 10f64.powf(b as f64 / BUCKETS_PER_DECADE));
+        let table = index.edge[..SLOTS - 1].iter().copied();
+        for e in analytic.chain(table) {
+            for d in 0..=8 {
+                check(f64::from_bits(e.to_bits() + d - 4));
+            }
+        }
+        for v in [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            check(v);
+        }
     }
 
     #[test]
