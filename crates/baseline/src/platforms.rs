@@ -7,10 +7,9 @@
 //! regenerates from first principles.
 
 use mmx_units::{BitRate, DbmPower, Hertz, Watts};
-use serde::{Deserialize, Serialize};
 
 /// One comparison platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Platform {
     /// Display name.
     pub name: String,

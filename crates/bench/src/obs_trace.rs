@@ -54,7 +54,7 @@ pub fn fig13_fault_scenarios(topologies: usize, seed: u64) -> Vec<NetworkSim> {
 /// bundles the concatenated trace plus the merged metrics. Each worker
 /// serializes the trace of the scenario it ran.
 pub fn run_traced(sims: &[NetworkSim], threads: usize) -> TraceBundle {
-    let runs = crate::par::run_indexed_on(threads, sims.len(), |k| {
+    let runs = mmx_net::pool::run_indexed(threads, sims.len(), |k| {
         let mut rec = Recorder::enabled();
         let report = sims[k].run_observed(&mut rec);
         (report, rec.trace_jsonl(), rec)

@@ -1,33 +1,22 @@
 //! Deterministic parallel execution for Monte-Carlo sweeps.
 //!
 //! Every sweep in this crate is a map over independent grid points or
-//! trials. This module fans that map across threads while keeping the
-//! output *bit-identical at any thread count, including 1*: each index
-//! derives its own RNG as `StdRng::seed_from_u64(splitmix64(seed, i))`,
-//! so no draw ever depends on which thread ran which index or in what
-//! order, and results are reassembled in index order.
+//! trials. This module is a thin front end to the workspace's one
+//! fan-out, [`mmx_net::pool::run_indexed`], and keeps the output
+//! *bit-identical at any thread count, including 1*: each index derives
+//! its own RNG as `StdRng::seed_from_u64(splitmix64(seed, i))`, so no
+//! draw ever depends on which thread ran which index or in what order,
+//! and results are reassembled in index order.
 //!
-//! Thread count resolution: [`set_threads`] override, then the
-//! `MMX_THREADS` environment variable, then the machine's available
-//! parallelism.
+//! Thread count resolution: [`set_threads`] override, then
+//! [`mmx_net::pool::resolve_threads`] (`MMX_THREADS`, then the
+//! machine's available parallelism).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Mixes a sweep seed and a trial index into an independent per-trial
-/// seed (two SplitMix64 finalizer rounds over the golden-ratio-offset
-/// index, keyed by the sweep seed).
-pub fn splitmix64(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    z ^ (z >> 33)
-}
+pub use mmx_net::faults::splitmix64;
 
 /// The RNG a single trial receives: seeded from the sweep seed and the
 /// trial index only.
@@ -47,20 +36,7 @@ pub fn set_threads(n: usize) {
 
 /// The number of worker threads sweeps will use.
 pub fn threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(var) = std::env::var("MMX_THREADS") {
-        if let Ok(n) = var.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    mmx_net::pool::resolve_threads(THREAD_OVERRIDE.load(Ordering::Relaxed))
 }
 
 /// Maps `f` over `0..n` across worker threads, returning results in
@@ -71,44 +47,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_on(threads(), n, f)
-}
-
-/// [`run_indexed`] on `workers` threads (at most `n`) instead of the
-/// ambient count.
-pub(crate) fn run_indexed_on<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, T)>();
-    let f = &f;
-    let next = &next;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // The receiver outlives the scope; send cannot fail.
-                if tx.send((i, f(i))).is_err() {
-                    unreachable!("result channel closed while workers running");
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut indexed: Vec<(usize, T)> = rx.iter().collect();
-    debug_assert_eq!(indexed.len(), n);
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, v)| v).collect()
+    mmx_net::pool::run_indexed(threads(), n, f)
 }
 
 /// Maps `f` over `n` Monte-Carlo trials, handing each one its derived

@@ -7,16 +7,18 @@
 //! detected CPU count.
 
 use mmx_bench::par;
+use std::sync::{Mutex, PoisonError};
 
 /// The worker-count override is process-global, so tests that flip it
-/// must not interleave.
-static OVERRIDE_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+/// must not interleave. A failing test poisons the lock; later tests
+/// take it anyway, so one failure is reported once.
+static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Renders a sweep's CSV at 1 worker and again at `threads`, asserting
 /// byte equality. Restores the override afterwards so tests in the same
 /// process do not leak configuration into each other.
 fn assert_csv_identical(threads: usize, label: &str, render: impl Fn() -> String) {
-    let _guard = OVERRIDE_LOCK.lock();
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     par::set_threads(1);
     let serial = render();
     par::set_threads(threads);

@@ -4,11 +4,10 @@
 //! elevation dimension is absorbed into the antenna element gains.
 
 use mmx_units::{Degrees, Radians};
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A 2-D point/vector in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// x coordinate (meters).
     pub x: f64,
@@ -113,7 +112,7 @@ impl Neg for Vec2 {
 }
 
 /// A line segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub a: Vec2,

@@ -2,7 +2,6 @@
 
 use crate::geometry::{Segment, Vec2};
 use mmx_units::Db;
-use serde::{Deserialize, Serialize};
 
 /// Reflection loss of a surface material at 24 GHz.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// NLoS bounce costs the reflection loss below *plus* the extra
 /// spreading of the longer path (≈3–8 dB indoors), totalling the quoted
 /// 10–20 dB over LoS.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Material {
     /// Painted drywall: ~10 dB reflection loss.
     Drywall,
@@ -39,7 +38,7 @@ impl Material {
 }
 
 /// A reflective surface in the room.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Surface {
     /// The surface geometry.
     pub segment: Segment,
@@ -50,7 +49,7 @@ pub struct Surface {
 /// A static obstacle that blocks (but does not usefully reflect) paths —
 /// furniture, closets, pillars. Modeled as an opaque segment with a
 /// penetration loss instead of total opacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Obstacle {
     /// The blocking geometry.
     pub segment: Segment,
@@ -60,7 +59,7 @@ pub struct Obstacle {
 
 /// A rectangular room with reflective walls, extra reflectors and
 /// obstacles. Coordinates: the room spans `[0, width] × [0, depth]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Room {
     width: f64,
     depth: f64,

@@ -5,7 +5,6 @@ use mmx_antenna::tma::Tma;
 use mmx_channel::response::Pose;
 use mmx_rf::frontend::ApFrontEnd;
 use mmx_units::{Db, Hertz};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an AP on the coordination plane.
@@ -17,9 +16,7 @@ use std::fmt;
 /// bare `usize` indices. It lives here rather than in `mmx-core`
 /// because `mmx-core` sits *above* `mmx-net` in the crate graph;
 /// `mmx-core`'s prelude re-exports it.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ApId(pub u16);
 
 impl ApId {

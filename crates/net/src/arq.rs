@@ -9,7 +9,6 @@
 
 use mmx_units::{BitRate, Seconds};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why an ARQ operation was rejected.
@@ -33,7 +32,7 @@ impl fmt::Display for ArqError {
 impl std::error::Error for ArqError {}
 
 /// ARQ policy parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ArqConfig {
     /// Retransmissions allowed after the first attempt.
     pub max_retries: u8,

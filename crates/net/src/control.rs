@@ -22,7 +22,6 @@
 
 use crate::fdm::{AllocError, BandPlan, ChannelAssignment};
 use mmx_units::{BitRate, Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A node's identifier on the control plane.
@@ -34,7 +33,7 @@ use std::collections::BTreeMap;
 pub type NodeId = u16;
 
 /// Control-plane messages (carried over BLE/WiFi, not over mmWave).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ControlMsg {
     /// Node → AP: request admission with a data-rate demand.
     JoinRequest {
@@ -93,7 +92,7 @@ pub const CONTROL_MSG_ENERGY_J: f64 = 30e-6;
 
 /// Lease policy: how long a grant survives without a keepalive, and how
 /// often nodes refresh.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LeaseConfig {
     /// A grant expires this long after its last refresh.
     pub duration: Seconds,

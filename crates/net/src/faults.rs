@@ -21,11 +21,13 @@
 use mmx_units::{Db, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Mixes a seed and a stream index into an independent derived seed
 /// (two SplitMix64 finalizer rounds over the golden-ratio-offset index,
-/// keyed by the seed — the same construction as `mmx-bench::par`).
+/// keyed by the seed). This is the workspace's only copy of the mixer:
+/// the fault stream, the per-node streams of [`crate::streams`] and
+/// the per-trial RNGs of `mmx_bench::par` (which re-exports it) all
+/// derive their seeds from it.
 pub fn splitmix64(seed: u64, index: u64) -> u64 {
     let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -43,7 +45,7 @@ const FAULT_STREAM: u64 = 0xFA57_0001;
 
 /// Fault-injection intensities. All probabilities are per-event; rates
 /// are Poisson intensities in events per simulated second.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Probability that a control message is lost in flight.
     pub control_loss: f64,

@@ -8,10 +8,9 @@
 //! channels (plus guard bands) into the unlicensed band low-to-high.
 
 use mmx_units::{Band, BitRate, Hertz};
-use serde::{Deserialize, Serialize};
 
 /// A band plan: the unlicensed band plus allocation policy constants.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BandPlan {
     band: Band,
     guard: Hertz,
@@ -20,7 +19,7 @@ pub struct BandPlan {
 }
 
 /// A channel granted to a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelAssignment {
     /// Channel center frequency.
     pub center: Hertz,

@@ -30,10 +30,9 @@
 
 use crate::ap::ApId;
 use mmx_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// The control-link states of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkState {
     /// Not participating (before `active_from`, or crashed).
     Idle,
@@ -59,7 +58,7 @@ pub enum LinkState {
 
 /// Exponential backoff with deterministic jitter for control
 /// retransmissions.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Backoff {
     /// First retransmit timeout.
     pub base: Seconds,

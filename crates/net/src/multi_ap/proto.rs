@@ -28,11 +28,10 @@
 
 use crate::ap::ApId;
 use crate::control::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A message on the inter-AP coordination plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApMsg {
     /// AP `ap` claims slot ownership of `node` (initial association or
     /// re-claim after an aborted transfer).

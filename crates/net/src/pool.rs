@@ -1,28 +1,32 @@
-//! A deterministic intra-simulation worker pool.
+//! The workspace's one deterministic fan-out (DESIGN.md §9).
 //!
-//! The simulators' gather→commit event loop fans per-node *gather*
-//! work (ray trace, fading, SINR, BER, delivery draw) out over worker
-//! threads while the main thread keeps exclusive ownership of all
-//! shared state for the *commit* phase. The pool is built once per run
-//! (threads live inside one `std::thread::scope`), and each batch is a
-//! single [`Dispatch::run`] call:
+//! The simulators' per-batch *gather* runs on [`scoped`]/[`Dispatch`];
+//! every one-shot map (scenario batches, the `mmx_bench::par` sweeps)
+//! on [`run_indexed`]. Workers are scoped threads that live for one
+//! call, and each batch is one [`Dispatch::run`]:
 //!
-//! * tasks are tagged with their batch slot, fanned out over an MPMC
-//!   channel, and results re-assembled **by slot** — so the caller sees
-//!   results in task order no matter which worker finished first;
-//! * the main thread work-steals from the same task channel instead of
-//!   blocking, so a pool of `t` threads really applies `t` cores;
-//! * each task is a pure function of its payload (per-node context +
-//!   frozen batch snapshot), so the result vector is bit-identical at
-//!   any thread count — `threads == 1` simply runs inline with zero
-//!   channel traffic.
+//! * tasks carry their batch slot onto one `Mutex<VecDeque>` queue and
+//!   results land **by slot**, so `out[i]` is task `i`'s result
+//!   whichever thread ran it — bit-identical at any thread count, and
+//!   `threads <= 1` runs inline with no queue at all;
+//! * idle workers park on a `Condvar`, which releases the lock, so the
+//!   main thread can always steal from the queue and only waits on a
+//!   result once the queue is empty;
+//! * a task's panic reaches the caller with its own payload: workers
+//!   catch it and send it back in place of the result, and the queue
+//!   closes when the caller's body returns or unwinds, so no worker is
+//!   left parked.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 
 /// Resolves a thread-count request: `0` means auto — the `MMX_THREADS`
-/// environment variable when set, otherwise the machine's available
-/// parallelism. Matches the convention of `mmx_bench::par` and
-/// [`crate::sim::run_batch`].
+/// environment variable when set to a positive integer, otherwise the
+/// machine's available parallelism. This is the workspace's only
+/// reading of `MMX_THREADS`.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -31,70 +35,125 @@ pub fn resolve_threads(requested: usize) -> usize {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Handle the event loop uses to fan one batch out; see [`scoped`].
-pub enum Dispatch<'a, T, R> {
-    /// Single-threaded: run every task inline, in slot order.
-    Inline(&'a (dyn Fn(T) -> R + Sync)),
-    /// Pooled: slot-tagged tasks over MPMC channels.
-    Pool {
-        /// The shared work function.
-        work: &'a (dyn Fn(T) -> R + Sync),
-        /// Task fan-out (main thread sends, everyone receives).
-        task_tx: Sender<(usize, T)>,
-        /// The main thread's work-stealing end of the task channel.
-        task_rx: Receiver<(usize, T)>,
-        /// Result fan-in.
-        res_rx: Receiver<(usize, R)>,
-    },
+/// Maps `f` over `0..n` on `threads` threads (at most `n`; `<= 1` runs
+/// inline), returning results in index order: `out[i] == f(i)` at any
+/// thread count, as long as `f` derives everything it needs from `i`.
+pub fn run_indexed<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    scoped(threads.min(n), f, |disp| {
+        let mut out = Vec::with_capacity(n);
+        disp.run((0..n).collect(), &mut out);
+        out.into_iter()
+            .map(|r| r.expect("every slot ran"))
+            .collect()
+    })
+}
+
+/// The task queue the workers and the main thread share.
+struct Queue<T> {
+    state: Mutex<QueueState<T>>,
+    ready: Condvar,
+}
+
+struct QueueState<T> {
+    tasks: VecDeque<(usize, T)>,
+    closed: bool,
+}
+
+impl<T> Queue<T> {
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        // No task runs under the lock, so it is never poisoned in
+        // practice; recover rather than cascade if it ever is.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A task for a worker, parking while the queue is empty; `None`
+    /// once the pool is shut.
+    fn wait_pop(&self) -> Option<(usize, T)> {
+        let mut st = self.lock();
+        loop {
+            if st.closed {
+                return None;
+            }
+            if let Some(task) = st.tasks.pop_front() {
+                return Some(task);
+            }
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+}
+
+/// Handle the caller uses to fan one batch out; see [`scoped`].
+pub struct Dispatch<'a, T, R> {
+    work: &'a (dyn Fn(T) -> R + Sync),
+    /// `None` runs every task inline, in slot order.
+    pool: Option<Pool<'a, T, R>>,
+}
+
+/// The pooled half of a [`Dispatch`]; a result's `Err` is the task's
+/// panic payload.
+struct Pool<'a, T, R> {
+    queue: &'a Queue<T>,
+    workers: usize,
+    results: Receiver<(usize, thread::Result<R>)>,
+}
+
+impl<T, R> Drop for Pool<'_, T, R> {
+    /// Shuts the queue when the caller's body returns or unwinds, so
+    /// every worker leaves its wait and the scope can join them.
+    fn drop(&mut self) {
+        self.queue.close();
+    }
 }
 
 impl<T: Send, R: Send> Dispatch<'_, T, R> {
     /// Runs one batch: every task through the work function, results
     /// into `out` by slot (`out[i]` holds task `i`'s result). The slot
     /// assignment — not completion order — defines the output order, so
-    /// `out` is bit-identical at any thread count.
+    /// `out` is bit-identical at any thread count. A panicking task
+    /// panics here, with its own payload.
     pub fn run(&mut self, tasks: Vec<T>, out: &mut Vec<Option<R>>) {
         out.clear();
-        match self {
-            Dispatch::Inline(work) => {
-                out.extend(tasks.into_iter().map(|t| Some(work(t))));
-            }
-            Dispatch::Pool {
-                work,
-                task_tx,
-                task_rx,
-                res_rx,
-            } => {
-                let total = tasks.len();
-                out.resize_with(total, || None);
-                for (slot, t) in tasks.into_iter().enumerate() {
-                    if task_tx.send((slot, t)).is_err() {
-                        unreachable!("pool workers outlive the dispatcher");
-                    }
-                }
-                let mut done = 0;
-                while done < total {
-                    // Prefer stealing a pending task over waiting on a
-                    // result: the main thread is a full-rank worker.
-                    if let Ok((slot, t)) = task_rx.try_recv() {
-                        out[slot] = Some(work(t));
-                        done += 1;
-                        continue;
-                    }
-                    // No pending tasks: every remaining slot is being
-                    // computed by a worker, so a result must arrive.
-                    let (slot, r) = res_rx.recv().expect("pool workers are alive");
-                    out[slot] = Some(r);
-                    done += 1;
-                }
-            }
+        let work = self.work;
+        let Some(pool) = &self.pool else {
+            out.extend(tasks.into_iter().map(|t| Some(work(t))));
+            return;
+        };
+        let total = tasks.len();
+        out.resize_with(total, || None);
+        pool.queue
+            .lock()
+            .tasks
+            .extend(tasks.into_iter().enumerate());
+        for _ in 0..total.min(pool.workers) {
+            pool.queue.ready.notify_one();
+        }
+        for _ in 0..total {
+            // Prefer stealing a pending task over waiting on a result:
+            // the main thread is a full-rank worker.
+            let stolen = pool.queue.lock().tasks.pop_front();
+            let (slot, r) = match stolen {
+                Some((slot, t)) => (slot, work(t)),
+                // Queue empty: every remaining slot is being computed
+                // by a worker, which always sends back a result or the
+                // task's panic.
+                None => match pool.results.recv().expect("pool workers are alive") {
+                    (slot, Ok(r)) => (slot, r),
+                    (_, Err(payload)) => panic::resume_unwind(payload),
+                },
+            };
+            out[slot] = Some(r);
         }
     }
 }
@@ -114,33 +173,40 @@ where
     B: FnOnce(&mut Dispatch<'_, T, R>) -> O,
 {
     if threads <= 1 {
-        return body(&mut Dispatch::Inline(&work));
+        return body(&mut Dispatch {
+            work: &work,
+            pool: None,
+        });
     }
-    std::thread::scope(|s| {
-        let (task_tx, task_rx) = unbounded::<(usize, T)>();
-        let (res_tx, res_rx) = unbounded::<(usize, R)>();
-        for _ in 0..threads - 1 {
-            let rx = task_rx.clone();
-            let tx = res_tx.clone();
-            let work = &work;
+    let queue = Queue {
+        state: Mutex::new(QueueState {
+            tasks: VecDeque::new(),
+            closed: false,
+        }),
+        ready: Condvar::new(),
+    };
+    let (tx, results) = mpsc::channel();
+    thread::scope(|s| {
+        for _ in 1..threads {
+            let (tx, queue, work) = (tx.clone(), &queue, &work);
             s.spawn(move || {
-                for (slot, task) in rx.iter() {
-                    if tx.send((slot, work(task))).is_err() {
+                while let Some((slot, task)) = queue.wait_pop() {
+                    let r = panic::catch_unwind(AssertUnwindSafe(|| work(task)));
+                    if tx.send((slot, r)).is_err() {
                         break;
                     }
                 }
             });
         }
-        let out = body(&mut Dispatch::Pool {
+        drop(tx);
+        body(&mut Dispatch {
             work: &work,
-            task_tx,
-            task_rx,
-            res_rx,
-        });
-        // Dropping the Dispatch (and with it the last task sender)
-        // disconnects the task channel; workers drain and exit before
-        // the scope closes.
-        out
+            pool: Some(Pool {
+                queue: &queue,
+                workers: threads - 1,
+                results,
+            }),
+        })
     })
 }
 
@@ -165,6 +231,55 @@ mod tests {
         let want: Vec<u64> = (0..100u64).map(|x| x * x).collect();
         for threads in [1, 2, 4, 8] {
             assert_eq!(square_batch(threads, 100), want, "threads={threads}");
+        }
+        // The one-shot map, including more threads than tasks.
+        let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64;
+        for threads in [0, 1, 2, 3, 8] {
+            for n in [0, 1, 2, 7, 100] {
+                let want: Vec<u64> = (0..n).map(f).collect();
+                assert_eq!(run_indexed(threads, n, f), want, "threads={threads} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Duration;
+        for threads in [2, 4] {
+            // Run the pool on a helper thread so a hang fails the test
+            // instead of stalling it.
+            let (done_tx, done_rx) = mpsc::channel();
+            thread::spawn(move || {
+                let caller = thread::current().id();
+                let worker_took = AtomicBool::new(false);
+                let work = |x: u64| {
+                    if thread::current().id() != caller {
+                        worker_took.store(true, Ordering::SeqCst);
+                        panic!("task {x} failed on a worker");
+                    }
+                    // Hold the main thread until a worker has a task.
+                    while !worker_took.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                    x
+                };
+                let outcome = panic::catch_unwind(|| {
+                    scoped(threads, work, |disp| {
+                        disp.run((0..64).collect(), &mut Vec::new())
+                    })
+                });
+                let msg = outcome.err().and_then(|p| p.downcast::<String>().ok());
+                let _ = done_tx.send(msg);
+            });
+            let msg = done_rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("threads={threads}: pool hung on a worker panic"))
+                .unwrap_or_else(|| panic!("threads={threads}: panic was swallowed"));
+            assert!(
+                msg.ends_with("failed on a worker"),
+                "threads={threads}: {msg}"
+            );
         }
     }
 

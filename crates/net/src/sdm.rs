@@ -9,11 +9,10 @@
 
 use mmx_antenna::tma::Tma;
 use mmx_units::Degrees;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One node's spatial-frequency slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdmSlot {
     /// Index of the shared frequency channel.
     pub channel: usize,

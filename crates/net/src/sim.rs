@@ -553,7 +553,7 @@ pub fn run_batch_with_threads(
     sims: &[NetworkSim],
     threads: usize,
 ) -> Vec<Result<NetworkReport, SimError>> {
-    fan_out(sims, threads, NetworkSim::run)
+    crate::pool::run_indexed(threads, sims.len(), |i| sims[i].run())
 }
 
 /// [`run_batch_with_threads`] with observability: each scenario runs
@@ -566,42 +566,11 @@ pub fn run_batch_observed_with_threads(
     sims: &[NetworkSim],
     threads: usize,
 ) -> Vec<(Result<NetworkReport, SimError>, Recorder)> {
-    fan_out(sims, threads, |sim| {
+    crate::pool::run_indexed(threads, sims.len(), |i| {
         let mut rec = Recorder::enabled();
-        let report = sim.run_observed(&mut rec);
+        let report = sims[i].run_observed(&mut rec);
         (report, rec)
     })
-}
-
-/// Maps `run` over `sims` on up to `threads` work-stealing threads;
-/// result `i` is `run(&sims[i])` whatever thread computed it.
-fn fan_out<R: Send>(
-    sims: &[NetworkSim],
-    threads: usize,
-    run: impl Fn(&NetworkSim) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.max(1).min(sims.len().max(1));
-    if threads <= 1 {
-        return sims.iter().map(run).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<R>>> =
-        sims.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= sims.len() {
-                    break;
-                }
-                *slots[i].lock() = Some(run(&sims[i]));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every scenario ran"))
-        .collect()
 }
 
 #[cfg(test)]

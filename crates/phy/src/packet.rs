@@ -12,7 +12,6 @@
 //! ```
 
 use crate::bits::{bits_to_bytes, bytes_to_bits, crc32};
-use bytes::Bytes;
 
 /// The 32-bit preamble: two Barker-like alternation-rich words chosen for
 /// a sharp autocorrelation peak and a balanced 1/0 count (16 each), so
@@ -42,7 +41,7 @@ pub struct Packet {
     /// Sequence number.
     pub seq: u16,
     /// Payload bytes.
-    pub payload: Bytes,
+    pub payload: Box<[u8]>,
 }
 
 /// Why a packet failed to parse.
@@ -58,7 +57,7 @@ pub enum PacketError {
 
 impl Packet {
     /// Creates a packet. Panics when the payload exceeds [`MAX_PAYLOAD`].
-    pub fn new(node_id: u8, seq: u16, payload: impl Into<Bytes>) -> Self {
+    pub fn new(node_id: u8, seq: u16, payload: impl Into<Box<[u8]>>) -> Self {
         let payload = payload.into();
         assert!(payload.len() <= MAX_PAYLOAD, "payload too large");
         Packet {
@@ -119,7 +118,7 @@ impl Packet {
         Ok(Packet {
             node_id,
             seq,
-            payload: Bytes::from(body[5..].to_vec()),
+            payload: body[5..].into(),
         })
     }
 }
@@ -150,7 +149,7 @@ mod tests {
 
     #[test]
     fn empty_payload_roundtrip() {
-        let p = Packet::new(0, 0, Bytes::new());
+        let p = Packet::new(0, 0, Vec::new());
         let parsed = Packet::from_bits(&p.to_bits()[32..]).expect("parse");
         assert_eq!(parsed, p);
     }

@@ -6,11 +6,10 @@
 
 use mmx_dsp::{Complex, IqBuffer};
 use mmx_units::{Db, Hertz};
-use serde::{Deserialize, Serialize};
 
 /// An idealized complex ADC: samples at `sample_rate`, quantizes each
 /// quadrature to `bits`, clips at ±`full_scale`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adc {
     bits: u8,
     full_scale: f64,

@@ -6,11 +6,10 @@
 //! gain from `mmx-channel` (which already includes the antennas).
 
 use mmx_units::{thermal_noise_dbm, Db, DbmPower, Hertz};
-use serde::{Deserialize, Serialize};
 
 /// A link budget: everything between the transmitter's PA (here: VCO)
 /// output and the receiver's detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkBudget {
     /// Power delivered to the TX antenna.
     pub tx_power: DbmPower,

@@ -12,10 +12,9 @@
 //! §8.2 calls out.
 
 use mmx_units::Db;
-use serde::{Deserialize, Serialize};
 
 /// One stage of a receive chain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CascadeStage {
     /// Stage label for reports.
     pub name: String,
@@ -47,7 +46,7 @@ impl CascadeStage {
 }
 
 /// An ordered receiver chain.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NoiseCascade {
     stages: Vec<CascadeStage>,
 }

@@ -4,10 +4,8 @@
 //! and $150 phase shifters per element; mmX's node totals $110. The
 //! ledgers here carry those numbers into Table 1.
 
-use serde::{Deserialize, Serialize};
-
 /// An itemized BOM cost ledger in USD.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CostLedger {
     entries: Vec<(String, f64)>,
 }

@@ -6,11 +6,10 @@
 //! and the insertion loss at the passband is 5 dB."
 
 use mmx_units::{Db, Hertz, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A coupled-line band-pass filter: flat passband insertion loss with a
 /// raised-cosine skirt into a stopband floor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoupledLineFilter {
     center: Hertz,
     passband: Hertz,

@@ -6,10 +6,9 @@
 //! reproduces quantitatively.
 
 use mmx_units::{Db, DbmPower, Watts};
-use serde::{Deserialize, Serialize};
 
 /// An HMC751-class LNA model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lna {
     gain: Db,
     noise_figure: Db,

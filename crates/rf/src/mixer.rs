@@ -5,10 +5,9 @@
 //! converting the 24 GHz input to a 4 GHz IF inside the USRP's range.
 
 use mmx_units::{Db, Hertz, Watts};
-use serde::{Deserialize, Serialize};
 
 /// An HMC264-class ×2 sub-harmonic mixer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubharmonicMixer {
     conversion_loss: Db,
     noise_figure: Db,

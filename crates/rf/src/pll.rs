@@ -5,10 +5,9 @@
 //! the AP architecture (§5.2).
 
 use mmx_units::{Hertz, Watts};
-use serde::{Deserialize, Serialize};
 
 /// An ADF5356-class wideband synthesizer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Pll {
     f_min: Hertz,
     f_max: Hertz,

@@ -5,10 +5,9 @@
 //! computes energy per bit for any sustained rate.
 
 use mmx_units::{BitRate, Watts};
-use serde::{Deserialize, Serialize};
 
 /// An itemized DC power ledger.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PowerLedger {
     entries: Vec<(String, Watts)>,
 }

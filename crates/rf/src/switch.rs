@@ -7,10 +7,9 @@
 //! rate.
 
 use mmx_units::{BitRate, Db, Hertz, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Which output port (= which beam) the switch currently feeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchPort {
     /// Output 1 → Beam 0 array.
     Port0,
@@ -19,7 +18,7 @@ pub enum SwitchPort {
 }
 
 /// An ADRF5020-class SPDT switch model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpdtSwitch {
     insertion_loss: Db,
     isolation: Db,

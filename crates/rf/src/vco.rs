@@ -6,10 +6,9 @@
 //! are produced by small control-voltage steps on this same curve.
 
 use mmx_units::{DbmPower, Hertz, Watts};
-use serde::{Deserialize, Serialize};
 
 /// An HMC533-class VCO model with a smooth monotone tuning curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vco {
     v_min: f64,
     v_max: f64,

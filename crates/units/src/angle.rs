@@ -4,16 +4,15 @@
 //! all azimuth angles in this reproduction (the paper's elevation pattern
 //! is a wide 65° patch beam which we model as a scalar gain factor).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// An angle in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Degrees(pub f64);
 
 /// An angle in radians.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Radians(pub f64);
 
 impl Degrees {

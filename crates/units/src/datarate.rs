@@ -2,7 +2,6 @@
 
 use crate::power::Watts;
 use crate::time::Seconds;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -11,7 +10,7 @@ use std::ops::{Add, Div, Mul, Sub};
 /// The headline efficiency claim of the paper — *"mmX's node consumes 1.1 W
 /// at 100 Mbps, i.e. 11 nJ/bit"* — is exactly
 /// [`BitRate::energy_per_bit_nj`] applied to those two numbers.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct BitRate(f64);
 
 impl BitRate {

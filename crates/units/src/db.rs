@@ -1,6 +1,5 @@
 //! Dimensionless decibel ratios.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -11,7 +10,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// figures, SNR/SINR values. Absolute power levels belong in
 /// [`DbmPower`](crate::DbmPower); the type system keeps the two apart so
 /// that `gain + gain` compiles but `level + level` does not.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Db(f64);
 
 impl Db {

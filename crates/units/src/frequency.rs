@@ -1,7 +1,6 @@
 //! Frequency, wavelength and the unlicensed mmWave band plans.
 
 use crate::time::SPEED_OF_LIGHT;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -10,7 +9,7 @@ use std::ops::{Add, Div, Mul, Sub};
 /// Carries the usual unit constructors plus the wavelength helper that the
 /// antenna crate uses to size arrays (at 24 GHz, λ ≈ 12.5 mm — small enough
 /// that "many antennas can be packed into a small area", §2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Hertz(f64);
 
 impl Hertz {
@@ -131,7 +130,7 @@ impl fmt::Display for Hertz {
 /// ISM band (250 MHz wide) and the 60 GHz band (7 GHz wide). Both are
 /// provided as constructors; the FDM allocator in `mmx-net` slices a `Band`
 /// into per-node channels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Band {
     /// Lower band edge.
     pub low: Hertz,

@@ -1,7 +1,6 @@
 //! Absolute power levels: dBm and watts.
 
 use crate::db::Db;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -14,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///   formed from a signal level and a noise level.
 /// * Two levels cannot be added with `+` (that would be meaningless);
 ///   incoherent combining goes through [`DbmPower::power_sum`].
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct DbmPower(f64);
 
 impl DbmPower {
@@ -122,7 +121,7 @@ impl fmt::Display for DbmPower {
 
 /// Linear power in watts — used for the DC power-consumption and energy
 /// ledgers (a node "consumes 1.1 W", not "consumes 30.4 dBm").
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(pub f64);
 
 impl Watts {

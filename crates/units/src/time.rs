@@ -1,6 +1,5 @@
 //! Simulation time and physical constants.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
@@ -11,7 +10,7 @@ pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 ///
 /// The discrete-event simulator in `mmx-net` orders events by `Seconds`
 /// timestamps; DSP code uses it for sample periods and propagation delays.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Seconds(f64);
 
 impl Seconds {
