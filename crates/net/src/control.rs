@@ -119,11 +119,14 @@ impl Default for LeaseConfig {
     }
 }
 
+/// Each member's demand and granted channel, by id.
+type Grants = BTreeMap<NodeId, (BitRate, ChannelAssignment)>;
+
 /// The AP-side admission state machine.
 #[derive(Debug, Clone)]
 pub struct Admission {
     plan: BandPlan,
-    granted: BTreeMap<NodeId, (BitRate, ChannelAssignment)>,
+    granted: Grants,
     /// Last lease refresh per admitted node.
     last_refresh: BTreeMap<NodeId, Seconds>,
     /// Newest grant epoch each node acknowledged.
@@ -134,12 +137,18 @@ pub struct Admission {
     epoch: u64,
     /// Leases reclaimed by expiry so far.
     reclaimed: u64,
+    /// The next free frequency while `granted` is exactly
+    /// [`BandPlan::allocate`] over the members in id order (so a node
+    /// joining above every member id is one placement step here);
+    /// `None` once a rejoin, an out-of-order join or a leave breaks that.
+    packed: Option<Hertz>,
 }
 
 impl Admission {
     /// Creates an admission controller over a band plan.
     pub fn new(plan: BandPlan) -> Self {
         Admission {
+            packed: Some(plan.band().low),
             plan,
             granted: BTreeMap::new(),
             last_refresh: BTreeMap::new(),
@@ -159,35 +168,20 @@ impl Admission {
     }
 
     /// [`join`](Self::join) with an explicit clock, starting the new
-    /// node's lease at `now`.
+    /// node's lease at `now`. The grants list the other members in id
+    /// order, then the joiner.
     pub fn join_at(
         &mut self,
         node: NodeId,
         demand: BitRate,
         now: Seconds,
     ) -> Result<Vec<ControlMsg>, AllocError> {
-        let mut demands: Vec<(NodeId, BitRate)> =
-            self.granted.iter().map(|(&id, &(d, _))| (id, d)).collect();
-        demands.retain(|(id, _)| *id != node);
-        demands.push((node, demand));
-        let rates: Vec<BitRate> = demands.iter().map(|(_, d)| *d).collect();
-        let assignments = self.plan.allocate(&rates)?;
-        self.granted = demands
-            .iter()
-            .zip(&assignments)
-            .map(|(&(id, d), &a)| (id, (d, a)))
-            .collect();
-        self.last_refresh.insert(node, now);
-        self.epoch += 1;
+        self.admit(node, demand, now)?;
         let epoch = self.epoch;
-        // Every fresh grant awaits a new ack.
-        for (id, _) in &demands {
-            self.acked.remove(id);
-        }
-        Ok(demands
-            .iter()
-            .zip(&assignments)
-            .map(|(&(id, _), &a)| ControlMsg::Grant {
+        let others = self.granted.iter().filter(|&(&id, _)| id != node);
+        Ok(others
+            .chain(self.granted.get_key_value(&node))
+            .map(|(&id, &(_, a))| ControlMsg::Grant {
                 node: id,
                 center_hz: a.center.hz(),
                 width_hz: a.width.hz(),
@@ -197,9 +191,92 @@ impl Admission {
             .collect())
     }
 
+    /// [`join_at`](Self::join_at) without the grant messages, for
+    /// callers that discard them. Conceptually every join re-packs the
+    /// band with the members in id order and the joiner last; when the
+    /// joiner's id is above every member's and the grants are still
+    /// packed in id order, that re-pack leaves every existing grant
+    /// bit-identical, so only the joiner is placed.
+    pub(crate) fn admit(
+        &mut self,
+        node: NodeId,
+        demand: BitRate,
+        now: Seconds,
+    ) -> Result<(), AllocError> {
+        let above_all = self.granted.range(node..).next().is_none();
+        match self.packed.filter(|_| above_all) {
+            Some(cursor) => {
+                let (a, next) = self.plan.place(cursor, demand)?;
+                self.granted.insert(node, (demand, a));
+                self.packed = Some(next);
+            }
+            None => {
+                let (granted, cursor) = self.repack(node, demand)?;
+                self.packed = (granted.keys().next_back() == Some(&node)).then_some(cursor);
+                self.granted = granted;
+            }
+        }
+        debug_assert!(
+            self.packed_holds(),
+            "incremental grants differ from a re-pack"
+        );
+        debug_assert!(self.leases_disjoint(), "two live grants overlap");
+        self.last_refresh.insert(node, now);
+        self.epoch += 1;
+        // Every member got a fresh grant, which awaits a new ack (only
+        // members are ever acked).
+        self.acked.clear();
+        Ok(())
+    }
+
+    /// The full re-pack: the members other than `node` in id order, then
+    /// `node`, packed low-to-high. Returns the grants and the next free
+    /// frequency.
+    fn repack(&self, node: NodeId, demand: BitRate) -> Result<(Grants, Hertz), AllocError> {
+        let members = self.granted.iter().filter(|&(&id, _)| id != node);
+        let mut cursor = self.plan.band().low;
+        let mut granted = Grants::new();
+        for (id, d) in members
+            .map(|(&id, &(d, _))| (id, d))
+            .chain([(node, demand)])
+        {
+            let (a, next) = self.plan.place(cursor, d)?;
+            granted.insert(id, (d, a));
+            cursor = next;
+        }
+        Ok((granted, cursor))
+    }
+
+    /// Whether `packed` tells the truth: with a cursor set, re-packing
+    /// the members in id order reproduces every grant bit for bit and
+    /// ends at that cursor.
+    fn packed_holds(&self) -> bool {
+        let Some(packed) = self.packed else {
+            return true;
+        };
+        let mut cursor = self.plan.band().low;
+        let bits = |a: &ChannelAssignment| (a.center.hz().to_bits(), a.width.hz().to_bits());
+        self.granted.values().all(|(d, a)| {
+            self.plan.place(cursor, *d).is_ok_and(|(fresh, next)| {
+                cursor = next;
+                bits(&fresh) == bits(a)
+            })
+        }) && cursor.hz().to_bits() == packed.hz().to_bits()
+    }
+
+    /// Whether no two live grants share any frequency.
+    fn leases_disjoint(&self) -> bool {
+        let mut bands: Vec<_> = self.granted.values().map(|(_, a)| a.band()).collect();
+        bands.sort_by(|x, y| x.low.hz().total_cmp(&y.low.hz()));
+        bands.windows(2).all(|w| !w[0].overlaps(&w[1]))
+    }
+
     /// Handles a leave, freeing the node's spectrum.
     pub fn leave(&mut self, node: NodeId) {
-        self.granted.remove(&node);
+        if self.granted.remove(&node).is_some() {
+            // Removing a member may leave a gap below the cursor.
+            self.packed = self.granted.is_empty().then_some(self.plan.band().low);
+        }
         self.last_refresh.remove(&node);
         self.acked.remove(&node);
     }
@@ -252,6 +329,7 @@ impl Admission {
         self.granted.clear();
         self.last_refresh.clear();
         self.acked.clear();
+        self.packed = Some(self.plan.band().low);
     }
 
     /// Leases reclaimed by expiry so far.
@@ -472,6 +550,28 @@ mod tests {
         } else {
             panic!("expected grant");
         }
+    }
+
+    #[test]
+    fn joins_in_id_order_take_the_fast_path() {
+        let mut a = admission();
+        for id in 0..20 {
+            a.admit(id, BitRate::from_mbps(5.0), Seconds::ZERO)
+                .expect("admitted");
+            assert!(a.packed.is_some(), "join of {id} fell off the fast path");
+        }
+        // A rejoin re-packs and moves the node last, out of id order;
+        // the next full re-pack puts it back.
+        a.admit(3, BitRate::from_mbps(5.0), Seconds::ZERO).unwrap();
+        assert!(a.packed.is_none());
+        a.admit(20, BitRate::from_mbps(5.0), Seconds::ZERO).unwrap();
+        assert!(a.packed.is_some(), "a full re-pack in id order re-arms it");
+        a.leave(7);
+        assert!(a.packed.is_none());
+        for id in (0..=20).filter(|&id| id != 7) {
+            a.leave(id);
+        }
+        assert_eq!(a.packed.map(Hertz::hz), Some(a.plan.band().low.hz()));
     }
 
     #[test]

@@ -98,6 +98,9 @@ pub(crate) struct Scene<'a> {
     pub path_loss_exponent: f64,
     pub second_order_reflections: bool,
     pub implementation_loss: Db,
+    /// Worker threads for setup and the gather phase (`0` = auto); the
+    /// output never depends on it.
+    pub threads: usize,
 }
 
 impl Scene<'_> {
@@ -182,7 +185,6 @@ pub(crate) struct Plan<'a> {
     pub step: Seconds,
     /// Rician fading on the serving link.
     pub fading: Option<FadingConfig>,
-    pub threads: usize,
     pub record_trace: bool,
     /// Decision SNR below which a packet counts as undecodable.
     pub decode_threshold: Db,
@@ -251,13 +253,16 @@ impl<'a> World<'a> {
             .pacer
             .map(|r| LinearWalker::new(r.from, r.to, r.speed_mps));
         let blockers = Arc::new(blockers_of(&walkers, &pacer));
-        let mut paths = Vec::new();
+        // Each (AP, node) trace is a pure function of the pair, so the
+        // matrix is the same at any thread count.
+        let n = scene.nodes.len();
+        let threads = pool::resolve_threads(scene.threads);
+        let mut flat = pool::run_indexed(threads, scene.aps.len() * n, |k| {
+            scene.trace(k / n, k % n, &blockers, &mut Vec::new())
+        })
+        .into_iter();
         let arrival = (0..scene.aps.len())
-            .map(|a| {
-                (0..scene.nodes.len())
-                    .map(|i| scene.trace(a, i, &blockers, &mut paths))
-                    .collect()
-            })
+            .map(|_| flat.by_ref().take(n).collect())
             .collect();
         World {
             scene,
@@ -271,7 +276,7 @@ impl<'a> World<'a> {
 
     /// Runs `plan` to its horizon. Trace events, metrics and the
     /// per-packet trace depend only on the scene and the plan — never on
-    /// [`Plan::threads`] or on whether `rec` is enabled.
+    /// [`Scene::threads`] or on whether `rec` is enabled.
     pub fn run(self, mut plan: Plan<'a>, rec: &mut Recorder) -> Result<Outcome, AllocError> {
         let World {
             scene,
@@ -283,9 +288,8 @@ impl<'a> World<'a> {
         } = self;
         let n = scene.nodes.len();
         let na = scene.aps.len();
-        let gains: Vec<GainTable> = (0..na)
-            .map(|a| GainTable::new(plan.listen[a], &scene.aps[a], scene.nodes))
-            .collect();
+        let threads = pool::resolve_threads(scene.threads);
+        let gains = GainTable::for_aps(&plan.listen, &scene, threads);
         let noise_mw: Vec<f64> = scene
             .aps
             .iter()
@@ -441,7 +445,6 @@ impl<'a> World<'a> {
         st.start(&en, rec)?;
         debug_assert!(slots_unique(&plan.admitted, &st.serving, &st.slots));
 
-        let threads = pool::resolve_threads(plan.threads);
         pool::scoped(
             threads,
             |task: Task| en.gather(task),
@@ -471,24 +474,35 @@ struct GainTable {
 }
 
 impl GainTable {
-    fn new(tma: Option<&Tma>, ap: &ApStation, nodes: &[NodeStation]) -> Self {
-        let Some(tma) = tma else {
-            return GainTable {
-                half: 0,
-                rows: vec![vec![1.0; nodes.len()]],
-            };
-        };
-        let mut rows = vec![Vec::with_capacity(nodes.len()); tma.harmonics().len()];
-        for node in nodes {
-            let gains = tma.harmonic_power_gains(arrival_angle(ap, node));
-            for (row, g) in rows.iter_mut().zip(gains) {
-                row.push(g);
-            }
-        }
-        GainTable {
-            half: tma.len() as i32 / 2,
-            rows,
-        }
+    /// Every AP's table (`listen[a]` is AP `a`'s TMA), from one pooled
+    /// pass over the (AP, node) pairs. Each column is a pure function of
+    /// its pair, so the tables are the same at any thread count.
+    fn for_aps(listen: &[Option<&Tma>], scene: &Scene, threads: usize) -> Vec<GainTable> {
+        let nodes = scene.nodes;
+        let n = nodes.len();
+        let mut columns = pool::run_indexed(threads, listen.len() * n, |k| {
+            let (ap, node) = (&scene.aps[k / n], &nodes[k % n]);
+            listen[k / n].map_or_else(
+                || vec![1.0],
+                |tma| tma.harmonic_power_gains(arrival_angle(ap, node)),
+            )
+        })
+        .into_iter();
+        listen
+            .iter()
+            .map(|tma| {
+                let mut rows = vec![Vec::with_capacity(n); tma.map_or(1, |t| t.harmonics().len())];
+                for gains in columns.by_ref().take(n) {
+                    for (row, g) in rows.iter_mut().zip(gains) {
+                        row.push(g);
+                    }
+                }
+                GainTable {
+                    half: tma.map_or(0, |t| t.len() as i32 / 2),
+                    rows,
+                }
+            })
+            .collect()
     }
 
     fn row(&self, m: i32) -> &[f64] {
@@ -950,7 +964,7 @@ impl State {
                     }
                     continue;
                 }
-                self.adm[a.index()].join(node.id, node.demand)?;
+                self.adm[a.index()].admit(node.id, node.demand, Seconds::ZERO)?;
                 self.arb.handle(&ApMsg::Claim {
                     ap: a,
                     node: node.id,
@@ -1466,7 +1480,9 @@ impl State {
                 // collision with the slots its members hold and those
                 // reserved by transfers in flight to it.
                 self.adm[from.index()].leave(node);
-                let joined = self.adm[to.index()].join(node, demand).is_ok();
+                let joined = self.adm[to.index()]
+                    .admit(node, demand, Seconds::ZERO)
+                    .is_ok();
                 let h = en.harmonic_at(i, to);
                 let held_at_to = |j: usize| match self.pending.get(&j) {
                     Some(&(ap, reserved)) if ap == to => Some(reserved),
@@ -1504,7 +1520,9 @@ impl State {
                         if joined {
                             self.adm[to.index()].leave(node);
                         }
-                        self.adm[from.index()].join(node, demand).ok();
+                        self.adm[from.index()]
+                            .admit(node, demand, Seconds::ZERO)
+                            .ok();
                         self.arb.handle(&ApMsg::Claim {
                             ap: from,
                             node,
@@ -1688,8 +1706,11 @@ impl State {
             // refreshes the lease like a keepalive, so a streaming node
             // can't lose its spectrum to an unlucky run of lost
             // keepalives. Keepalives still carry nodes through idle gaps
-            // longer than the lease.
-            self.adm[self.serving[i].index()].refresh(node.id, tb);
+            // longer than the lease. Only expiry reads the refresh time,
+            // and without leases nothing expires.
+            if en.lease.is_some() {
+                self.adm[self.serving[i].index()].refresh(node.id, tb);
+            }
         }
         debug_assert!(self.out.delivered[i] <= self.out.sent[i]);
 
@@ -1805,5 +1826,114 @@ impl State {
         self.out.slots = Arc::try_unwrap(self.slots).unwrap_or_else(|s| s.to_vec());
         self.out.links = self.links;
         self.out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmx_channel::response::Pose;
+    use mmx_channel::room::Material;
+
+    /// `n` nodes facing `na` TMA APs along a 12 m × 6 m room, with two
+    /// walkers so the t = 0 trace sees blockers.
+    fn stations(na: usize, n: usize) -> (Room, Vec<ApStation>, Vec<NodeStation>) {
+        let room = Room::rectangular(12.0, 6.0, Material::Drywall);
+        let aps = (0..na)
+            .map(|k| {
+                let x = 12.0 * (k as f64 + 0.5) / na as f64;
+                let pose = Pose::new(Vec2::new(x, 5.7), Degrees::new(270.0));
+                ApStation::with_tma(pose, 16, Hertz::from_mhz(1.0)).with_id(ApId(k as u16))
+            })
+            .collect();
+        let nodes = (0..n)
+            .map(|i| {
+                let f = (i as f64 + 0.5) * 0.618_033_988_75;
+                let pos = Vec2::new(0.5 + 11.0 * f.fract(), 0.5 + 4.0 * (f * 3.7).fract());
+                let pose = Pose::facing_toward(pos, Vec2::new(6.0, 5.7));
+                NodeStation::new(i as NodeId, pose, BitRate::from_mbps(1.0))
+            })
+            .collect();
+        (room, aps, nodes)
+    }
+
+    fn scene<'a>(
+        room: &'a Room,
+        aps: &'a [ApStation],
+        nodes: &'a [NodeStation],
+        threads: usize,
+    ) -> Scene<'a> {
+        Scene {
+            room,
+            aps,
+            nodes,
+            seed: 7,
+            walkers: 2,
+            pacer: None,
+            path_loss_exponent: 2.6,
+            second_order_reflections: true,
+            implementation_loss: Db::new(3.0),
+            threads,
+        }
+    }
+
+    /// Every bit of the t = 0 arrival matrix and of every gain table;
+    /// odd-numbered APs listen through their dipole.
+    fn setup_bits(
+        room: &Room,
+        aps: &[ApStation],
+        nodes: &[NodeStation],
+        threads: usize,
+    ) -> Vec<u64> {
+        let s = scene(room, aps, nodes, threads);
+        let listen: Vec<Option<&Tma>> = aps
+            .iter()
+            .enumerate()
+            .map(|(a, ap)| ap.tma().filter(|_| a % 2 == 0))
+            .collect();
+        let tables = GainTable::for_aps(&listen, &s, threads);
+        // Each table is its AP's own, whatever the APs before it listen
+        // through.
+        for (a, (t, tma)) in tables.iter().zip(&listen).enumerate() {
+            for (j, node) in nodes.iter().enumerate() {
+                let direct = tma.map_or_else(
+                    || vec![1.0],
+                    |tma| tma.harmonic_power_gains(arrival_angle(&aps[a], node)),
+                );
+                let column: Vec<f64> = t.rows.iter().map(|row| row[j]).collect();
+                assert_eq!(column, direct, "AP {a}, node {j}");
+            }
+        }
+        let mut bits: Vec<u64> = tables
+            .iter()
+            .flat_map(|t| t.rows.iter().flatten().map(|g| g.to_bits()))
+            .collect();
+        let world = World::new(s);
+        for &(p, ch) in world.arrival.iter().flatten() {
+            bits.extend([p.dbm(), ch.h0.re, ch.h0.im, ch.h1.re, ch.h1.im].map(f64::to_bits));
+        }
+        bits
+    }
+
+    #[test]
+    fn setup_is_identical_at_any_thread_count() {
+        for (na, n) in [(1, 1), (1, 37), (4, 1), (4, 37)] {
+            let (room, aps, nodes) = stations(na, n);
+            let serial = setup_bits(&room, &aps, &nodes, 1);
+            // Five words per arrival, one per gain-table entry: a
+            // TMA's harmonic rows on even APs, one unity row on odd.
+            let harmonics = aps[0].tma().expect("a TMA AP").harmonics().len();
+            let rows: usize = (0..na)
+                .map(|a| if a % 2 == 0 { harmonics } else { 1 })
+                .sum();
+            assert_eq!(serial.len(), n * (5 * na + rows));
+            for threads in [2, 4] {
+                assert_eq!(
+                    setup_bits(&room, &aps, &nodes, threads),
+                    serial,
+                    "{na} APs × {n} nodes at {threads} threads"
+                );
+            }
+        }
     }
 }

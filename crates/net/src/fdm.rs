@@ -187,23 +187,37 @@ impl BandPlan {
     /// assignment per demand, in order.
     pub fn allocate(&self, demands: &[BitRate]) -> Result<Vec<ChannelAssignment>, AllocError> {
         let mut cursor = self.band.low;
-        let mut out = Vec::with_capacity(demands.len());
-        for &d in demands {
-            let width = self.width_for(d);
-            if width.hz() > self.band.bandwidth().hz() {
-                return Err(AllocError::DemandTooLarge);
-            }
-            let top = cursor + width;
-            if top.hz() > self.band.high.hz() + 1e-3 {
-                return Err(AllocError::BandExhausted);
-            }
-            out.push(ChannelAssignment {
-                center: cursor + width / 2.0,
-                width,
-            });
-            cursor = top + self.guard;
+        demands
+            .iter()
+            .map(|&d| {
+                let (a, next) = self.place(cursor, d)?;
+                cursor = next;
+                Ok(a)
+            })
+            .collect()
+    }
+
+    /// One step of [`allocate`](Self::allocate): the channel for
+    /// `demand` packed at `cursor` (the next free frequency), and the
+    /// cursor after it.
+    pub(crate) fn place(
+        &self,
+        cursor: Hertz,
+        demand: BitRate,
+    ) -> Result<(ChannelAssignment, Hertz), AllocError> {
+        let width = self.width_for(demand);
+        if width.hz() > self.band.bandwidth().hz() {
+            return Err(AllocError::DemandTooLarge);
         }
-        Ok(out)
+        let top = cursor + width;
+        if top.hz() > self.band.high.hz() + 1e-3 {
+            return Err(AllocError::BandExhausted);
+        }
+        let a = ChannelAssignment {
+            center: cursor + width / 2.0,
+            width,
+        };
+        Ok((a, top + self.guard))
     }
 
     /// How many equal channels of `width` fit in the band.

@@ -419,6 +419,7 @@ impl MultiApSim {
             path_loss_exponent: cfg.path_loss_exponent,
             second_order_reflections: false,
             implementation_loss: cfg.implementation_loss,
+            threads: cfg.threads,
         });
 
         // ---- initial association: in-cone first, then arrival power,
@@ -501,7 +502,6 @@ impl MultiApSim {
                     duration: cfg.duration,
                     step: cfg.step,
                     fading: cfg.fading,
-                    threads: cfg.threads,
                     record_trace: cfg.record_trace,
                     decode_threshold: cfg.decode_threshold,
                     power_control: None,

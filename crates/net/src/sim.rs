@@ -342,7 +342,7 @@ impl NetworkSim {
         let fdm_ok = self
             .nodes
             .iter()
-            .all(|n| admission.join(n.id, n.demand).is_ok());
+            .all(|n| admission.admit(n.id, n.demand, Seconds::ZERO).is_ok());
         if fdm_ok {
             let slots = (0..self.nodes.len())
                 .map(|i| SdmSlot {
@@ -431,6 +431,7 @@ impl NetworkSim {
             path_loss_exponent: cfg.path_loss_exponent,
             second_order_reflections: cfg.second_order_reflections,
             implementation_loss: cfg.implementation_loss,
+            threads: cfg.threads,
         });
         let out = world
             .run(
@@ -453,7 +454,6 @@ impl NetworkSim {
                     duration: cfg.duration,
                     step: cfg.step,
                     fading: cfg.fading,
-                    threads: cfg.threads,
                     record_trace: cfg.record_trace,
                     decode_threshold: cfg.decode_threshold,
                     power_control: cfg.power_control.then_some(cfg.max_backoff),

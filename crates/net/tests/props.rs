@@ -218,6 +218,218 @@ proptest! {
     }
 }
 
+/// The admission state machine as it was specified before grants were
+/// packed incrementally: every join re-packs the whole band through
+/// [`BandPlan::allocate`], the other members in id order and the joiner
+/// last.
+mod repack_reference {
+    use mmx_net::control::{ControlMsg, NodeId};
+    use mmx_net::fdm::{AllocError, BandPlan, ChannelAssignment};
+    use mmx_units::{BitRate, Seconds};
+    use std::collections::BTreeMap;
+
+    pub struct Reference {
+        plan: BandPlan,
+        granted: BTreeMap<NodeId, (BitRate, ChannelAssignment)>,
+        last_refresh: BTreeMap<NodeId, Seconds>,
+        acked: BTreeMap<NodeId, u64>,
+        pub epoch: u64,
+        pub reclaimed: u64,
+    }
+
+    impl Reference {
+        pub fn new(plan: BandPlan) -> Self {
+            Reference {
+                plan,
+                granted: BTreeMap::new(),
+                last_refresh: BTreeMap::new(),
+                acked: BTreeMap::new(),
+                epoch: 0,
+                reclaimed: 0,
+            }
+        }
+
+        pub fn join_at(
+            &mut self,
+            node: NodeId,
+            demand: BitRate,
+            now: Seconds,
+        ) -> Result<Vec<ControlMsg>, AllocError> {
+            let mut demands: Vec<(NodeId, BitRate)> =
+                self.granted.iter().map(|(&id, &(d, _))| (id, d)).collect();
+            demands.retain(|(id, _)| *id != node);
+            demands.push((node, demand));
+            let rates: Vec<BitRate> = demands.iter().map(|(_, d)| *d).collect();
+            let assignments = self.plan.allocate(&rates)?;
+            self.granted = demands
+                .iter()
+                .zip(&assignments)
+                .map(|(&(id, d), &a)| (id, (d, a)))
+                .collect();
+            self.last_refresh.insert(node, now);
+            self.epoch += 1;
+            for (id, _) in &demands {
+                self.acked.remove(id);
+            }
+            Ok(demands
+                .iter()
+                .zip(&assignments)
+                .map(|(&(id, _), &a)| ControlMsg::Grant {
+                    node: id,
+                    center_hz: a.center.hz(),
+                    width_hz: a.width.hz(),
+                    fsk_deviation_hz: (a.width.hz() * 0.08).min(2e6),
+                    epoch: self.epoch,
+                })
+                .collect())
+        }
+
+        pub fn leave(&mut self, node: NodeId) {
+            self.granted.remove(&node);
+            self.last_refresh.remove(&node);
+            self.acked.remove(&node);
+        }
+
+        pub fn refresh(&mut self, node: NodeId, now: Seconds) -> bool {
+            if !self.granted.contains_key(&node) {
+                return false;
+            }
+            self.last_refresh.insert(node, now);
+            true
+        }
+
+        pub fn ack(&mut self, node: NodeId, epoch: u64) {
+            if self.granted.contains_key(&node) {
+                self.acked.insert(node, epoch);
+            }
+        }
+
+        pub fn is_acked(&self, node: NodeId) -> bool {
+            self.acked.contains_key(&node)
+        }
+
+        pub fn expire_stale(&mut self, now: Seconds, lease: Seconds) -> Vec<NodeId> {
+            let dead: Vec<NodeId> = self
+                .last_refresh
+                .iter()
+                .filter(|&(_, &t)| now - t > lease)
+                .map(|(&id, _)| id)
+                .collect();
+            for &id in &dead {
+                self.leave(id);
+                self.reclaimed += 1;
+            }
+            dead
+        }
+
+        pub fn restart(&mut self) {
+            self.granted.clear();
+            self.last_refresh.clear();
+            self.acked.clear();
+        }
+
+        pub fn grant_of(&self, node: NodeId) -> Option<ChannelAssignment> {
+            self.granted.get(&node).map(|&(_, a)| a)
+        }
+    }
+
+    /// A grant list as exact bits, in order.
+    pub fn msg_bits(r: &Result<Vec<ControlMsg>, AllocError>) -> Result<Vec<[u64; 5]>, AllocError> {
+        let bits = |m: &ControlMsg| match *m {
+            ControlMsg::Grant {
+                node,
+                center_hz,
+                width_hz,
+                fsk_deviation_hz,
+                epoch,
+            } => [
+                u64::from(node),
+                center_hz.to_bits(),
+                width_hz.to_bits(),
+                fsk_deviation_hz.to_bits(),
+                epoch,
+            ],
+            ref other => panic!("join returned {other:?}"),
+        };
+        r.clone().map(|msgs| msgs.iter().map(bits).collect())
+    }
+
+    /// A grant as exact bits.
+    pub fn grant_bits(g: Option<ChannelAssignment>) -> Option<(u64, u64)> {
+        g.map(|a| (a.center.hz().to_bits(), a.width.hz().to_bits()))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The incrementally packed admission is the full re-pack, bit for
+    /// bit: under any sequence of joins, leaves, refreshes, acks, expiry
+    /// scans and restarts it returns the same results and grant messages
+    /// (in order) as the reference, and leaves every grant, the epoch
+    /// and every ack the same.
+    #[test]
+    fn incremental_admission_matches_the_full_repack(
+        ops in prop::collection::vec(
+            (
+                0u8..9,
+                0u16..12,
+                // One demand in 20 is too large for the band.
+                (0u8..20, 0.05f64..70.0).prop_map(|(k, m)| if k == 0 { 300.0 } else { m }),
+                0u64..3,
+            ),
+            1..80,
+        )
+    ) {
+        use repack_reference::{grant_bits, msg_bits, Reference};
+        let mut fast = Admission::new(BandPlan::ism_24ghz());
+        let mut full = Reference::new(BandPlan::ism_24ghz());
+        let lease = Seconds::from_millis(400.0);
+        let mut now = Seconds::ZERO;
+        for (step, (op, node, mbps, lag)) in ops.into_iter().enumerate() {
+            now += Seconds::from_millis(50.0);
+            let demand = BitRate::from_mbps(mbps);
+            match op {
+                0..=2 => prop_assert_eq!(
+                    msg_bits(&fast.join_at(node, demand, now)),
+                    msg_bits(&full.join_at(node, demand, now)),
+                    "join_at at step {}", step
+                ),
+                3 => prop_assert_eq!(
+                    msg_bits(&fast.join(node, demand)),
+                    msg_bits(&full.join_at(node, demand, Seconds::ZERO)),
+                    "join at step {}", step
+                ),
+                4 => {
+                    fast.leave(node);
+                    full.leave(node);
+                }
+                5 => prop_assert_eq!(fast.refresh(node, now), full.refresh(node, now)),
+                6 => {
+                    let epoch = fast.epoch().saturating_sub(lag);
+                    fast.ack(node, epoch);
+                    full.ack(node, epoch);
+                }
+                7 => prop_assert_eq!(fast.expire_stale(now, lease), full.expire_stale(now, lease)),
+                _ => {
+                    fast.restart();
+                    full.restart();
+                }
+            }
+            prop_assert_eq!(fast.epoch(), full.epoch, "epoch after step {}", step);
+            prop_assert_eq!(fast.reclaimed_leases(), full.reclaimed);
+            for id in 0u16..12 {
+                prop_assert_eq!(
+                    grant_bits(fast.grant_of(id)),
+                    grant_bits(full.grant_of(id)),
+                    "grant of {} after step {}", id, step
+                );
+                prop_assert_eq!(fast.is_acked(id), full.is_acked(id), "ack of {} after step {}", id, step);
+            }
+        }
+    }
+}
+
 mod reuse_factor_edges {
     use super::*;
 
